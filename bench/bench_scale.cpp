@@ -1,7 +1,7 @@
 // Scaling benchmarks for the PHY/geo hot path (google-benchmark): spatial
 // range queries, carrier-sense cost as concurrent in-flight transmissions
-// grow, the transmit storm at paper density scaled to thousands of nodes,
-// and a full 2k-node scenario second. Teed to RCAST_BENCH_SCALE_JSON
+// grow, the transmit storm at 10x the paper's density scaled to thousands of
+// nodes, and a full 2k-node scenario second. Teed to RCAST_BENCH_SCALE_JSON
 // (default ./BENCH_scale.json); the committed baseline/after record lives at
 // the repo root under the same name.
 #include <benchmark/benchmark.h>
@@ -24,8 +24,9 @@ namespace {
 
 using namespace rcast;
 
-// World scaled to hold `n` nodes at the paper's density (50 nodes per
-// 1500 m x 300 m), preserving the 5:1 aspect ratio.
+// World scaled to hold `n` nodes at `per_node_area` m^2 each, preserving the
+// 5:1 aspect ratio. The paper puts 100 nodes in 1500 m x 300 m, 4500 m^2 per
+// node; the default is half that density, and the 450 m^2 rows are 10x it.
 geo::Rect world_for(std::size_t n, double per_node_area = 9000.0) {
   const double area = static_cast<double>(n) * per_node_area;
   const double h = std::sqrt(area / 5.0);
@@ -110,15 +111,13 @@ void BM_CarrierSense(benchmark::State& state) {
 }
 BENCHMARK(BM_CarrierSense)->Arg(16)->Arg(256)->Arg(4096);
 
-// The 1000-node transmit storm from bench_micro, scaled up: paper density,
-// staggered broadcast frames, full arrival fan-out through the Phys.
+// The 1000-node transmit storm from bench_micro, scaled up: 10x the paper's
+// density, staggered broadcast frames, full arrival fan-out through the Phys.
 void BM_TransmitStorm(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t kFrames = 200;
   const geo::Rect world = world_for(n, 450.0);  // 1000 nodes in 1500x300
   std::uint64_t events = 0;
-  std::uint64_t groups = 0;
-  std::uint64_t oversize = 0;
   sim::PerfCounters last{};
   for (auto _ : state) {
     sim::Simulator sim;
@@ -147,18 +146,7 @@ void BM_TransmitStorm(benchmark::State& state) {
       });
     }
     sim.run_until(kFrames * 50 * sim::kMicrosecond + sim::kSecond);
-    // Events-equivalent count: each arrival group fires as one queue event
-    // but delivers its whole record vector, so add the fan-out back to stay
-    // comparable with per-receiver-scheduling baselines (same convention as
-    // the golden-pinned RunResult field). The run drains fully, so fire-time
-    // counters equal creation-time counts here.
-    const phy::ChannelStats ch = channel.stats();
-    events += sim.executed_events() + ch.arrival_member_fires -
-              ch.arrival_group_fires;
-    groups += ch.arrival_groups;
-    for (std::size_t b = 3; b < ch.arrival_group_size_hist.size(); ++b) {
-      oversize += ch.arrival_group_size_hist[b];
-    }
+    events += sim.executed_events();
     last = sim.perf_counters();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
@@ -179,12 +167,6 @@ void BM_TransmitStorm(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(last.handler_moves));
   state.counters["inplace_fires"] =
       benchmark::Counter(static_cast<double>(last.inplace_fires));
-  state.counters["arrival_groups"] =
-      benchmark::Counter(static_cast<double>(groups) /
-                         static_cast<double>(state.iterations()));
-  // Any group past kArrivalGroupCapacity means chaining failed; CI pins 0.
-  state.counters["arrival_group_oversize"] =
-      benchmark::Counter(static_cast<double>(oversize));
 }
 BENCHMARK(BM_TransmitStorm)->Arg(1000)->Arg(4096)->Unit(benchmark::kMillisecond);
 
@@ -227,7 +209,7 @@ void BM_ShardedScenario100k(benchmark::State& state) {
   for (auto _ : state) {
     scenario::ScenarioConfig cfg;
     cfg.num_nodes = 100000;
-    cfg.world = world_for(100000, 450.0);  // paper density: 15000 x 3000
+    cfg.world = world_for(100000, 450.0);  // 10x paper density: 15000 x 3000
     cfg.num_flows = 200;
     cfg.duration = 1 * sim::kSecond;
     cfg.pause = 0;

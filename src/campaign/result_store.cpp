@@ -160,9 +160,6 @@ std::string record_to_json(const Job& job, const scenario::RunResult& r,
   w.end_array();
   w.key("handler_moves").value(r.perf.handler_moves);
   w.key("inplace_fires").value(r.perf.inplace_fires);
-  w.key("arrival_group_size_hist").begin_array();
-  for (const std::uint64_t n : r.perf.arrival_group_size_hist) w.value(n);
-  w.end_array();
   w.key("pool_hits").value(r.perf.pool_hits);
   w.key("pool_misses").value(r.perf.pool_misses);
   w.key("bytes_allocated").value(r.perf.bytes_allocated);
@@ -322,13 +319,6 @@ JobRecord record_from_json(const json::Value& v) {
   }
   if (const json::Value* g = perf.find("inplace_fires")) {
     r.perf.inplace_fires = g->as_u64();
-  }
-  if (const json::Value* g = perf.find("arrival_group_size_hist")) {
-    const auto& hist = g->as_array();
-    for (std::size_t i = 0;
-         i < hist.size() && i < r.perf.arrival_group_size_hist.size(); ++i) {
-      r.perf.arrival_group_size_hist[i] = hist[i].as_u64();
-    }
   }
   if (const json::Value* g = perf.find("spatial_queries")) {
     r.perf.spatial_queries = g->as_u64();

@@ -108,10 +108,9 @@ bool Mac::send(NodeId next_hop, NetDatagramPtr pkt, OverhearingMode oh) {
 
 void Mac::on_beacon() {
   bi_start_ = sim_.now();
-  sim_.after(cfg_.beacon_interval, [this] { on_beacon(); }, beacon_hint_);
+  sim_.after(cfg_.beacon_interval, [this] { on_beacon(); });
   if (phy_.dead()) return;
-  sim_.after(cfg_.atim_window, [this] { on_atim_window_end(); },
-             atim_end_hint_);
+  sim_.after(cfg_.atim_window, [this] { on_atim_window_end(); });
 
   // An operation contending across the boundary loses its clearance — but a
   // frame already on the air must finish (its ACK wait re-verifies later).
@@ -321,7 +320,7 @@ void Mac::resume_contention() {
   const sim::Time wait = cfg_.difs + backoff_slots_ * cfg_.slot;
   auto on_expired = [this] { on_backoff_expired(); };
   static_assert(sim::EventQueue::Handler::fits_inline<decltype(on_expired)>());
-  backoff_event_ = sim_.after(wait, std::move(on_expired), backoff_hint_);
+  backoff_event_ = sim_.after(wait, std::move(on_expired));
 }
 
 void Mac::pause_contention() {

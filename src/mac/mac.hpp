@@ -188,13 +188,6 @@ class Mac final : public phy::PhyListener {
   sim::Time countdown_start_ = 0;
   sim::EventId backoff_event_;
   sim::EventId ack_timeout_event_;
-  // Schedule-hint memos for the per-interval pushes: every PSM node beacons
-  // at the same synced instants, and backoff re-arms recur at near-constant
-  // horizons, so the queue-tier routing is almost always unchanged between
-  // consecutive pushes from the same site.
-  sim::EventQueue::ScheduleHint beacon_hint_;
-  sim::EventQueue::ScheduleHint atim_end_hint_;
-  sim::EventQueue::ScheduleHint backoff_hint_;
   CurrentTx current_tx_ = CurrentTx::kNone;
 
   // Pending SIFS responses (ACK / ATIM-ACK).

@@ -1,9 +1,7 @@
 #include "phy/channel.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <memory>
 
 #include "phy/phy.hpp"
 #include "util/assert.hpp"
@@ -56,10 +54,6 @@ Channel::Channel(sim::Simulator& simulator,
     // receiving Phy, but disjoint streams keep them globally unique and
     // run-for-run deterministic regardless of worker interleaving).
     state_[k].next_arrival_id = static_cast<std::uint64_t>(k) << 56;
-    // Open-group table: one slot per possible integer propagation delay
-    // within cs range (~1.8k entries); epoch stamps make it pass-scoped
-    // without per-transmission clearing.
-    state_[k].open_groups.resize(static_cast<std::size_t>(max_prop_) + 1);
   }
 }
 
@@ -106,38 +100,6 @@ void Channel::add_in_flight(ShardState& st, geo::Vec2 tx_pos, sim::Time end) {
   cell.max_end = std::max(cell.max_end, end);
 }
 
-namespace {
-/// Log2 bucket for the arrival-group size histogram (size >= 1).
-std::size_t group_size_bucket(std::size_t n) {
-  return std::min<std::size_t>(
-      static_cast<std::size_t>(std::bit_width(n)) - 1, 7);
-}
-}  // namespace
-
-void Channel::fire_group_start(ArrivalGroup* g) {
-  ShardState& st = local_state();
-  ++st.stats.arrival_group_fires;
-  st.stats.arrival_member_fires += g->recs.size();
-  deliver_arrival_group_start(*g);
-}
-
-void Channel::fire_group_end(ArrivalGroup* g) {
-  ShardState& st = local_state();
-  ++st.stats.arrival_group_fires;
-  st.stats.arrival_member_fires += g->recs.size();
-  deliver_arrival_group_end(*g);
-  st.group_pool.release(g);
-}
-
-void Channel::fire_remote_group_end(ArrivalGroup* g) {
-  // Cross-shard groups are shared_ptr-owned by their two closures; no pool
-  // release — the last closure destroyed frees the group on this thread.
-  ShardState& st = local_state();
-  ++st.stats.arrival_group_fires;
-  st.stats.arrival_member_fires += g->recs.size();
-  deliver_arrival_group_end(*g);
-}
-
 void Channel::transmit(FramePtr frame, sim::Time duration) {
   RCAST_REQUIRE(frame != nullptr);
   RCAST_REQUIRE(duration > 0);
@@ -154,186 +116,43 @@ void Channel::transmit(FramePtr frame, sim::Time duration) {
 
   // Fan out to every radio that senses the frame, straight from the spatial
   // query (no intermediate result list): the callback fires in deterministic
-  // grid order with the exact squared distance already computed. Receivers
-  // sharing an integer propagation delay share exact start/end timestamps,
-  // so they batch into one arrival group (DESIGN.md §17): one start and one
-  // end event per (frame, delay) with two or more receivers. A lone receiver
-  // is parked as a pending single and scheduled after the pass as the
-  // classic pair of direct closures — all delivery state inline in the event
-  // slot, no group indirection on the (dominant) collision-free path.
-  //
-  // Scheduling after the pass reorders pushes between delay slots relative
-  // to per-receiver scheduling, which is unobservable: transmit()'s pushes
-  // are contiguous in the sequence space, so FIFO ties with events outside
-  // this block cannot change, and equal timestamps inside it imply the same
-  // delay slot — whose members fire through one group event in grid order.
-  //
-  // All starts (and separately, ends) land within one propagation spread of
-  // each other, so two schedule hints memoize the queue-tier routing across
-  // the whole fan-out.
-  sim::Simulator::ScheduleHint start_hint;
-  sim::Simulator::ScheduleHint end_hint;
+  // grid order with the exact squared distance already computed. Each
+  // receiver gets its own start/end closure pair with all delivery state
+  // inline in the event slot — scheduled here, or posted to its home shard.
   const double rx2 = cfg_.tx_range_m * cfg_.tx_range_m;
   std::uint64_t remote_mask = 0;  // home shards with a remote receiver
-  local.group_scratch.clear();
-  local.single_scratch.clear();
-  local.remote_scratch.clear();
-  const std::uint64_t epoch = ++local.open_epoch;
   mobility_.for_each_within(
       tx_pos, cfg_.cs_range_m, frame->tx, [&](NodeId r, double d2) {
         if (r >= phys_.size() || phys_[r] == nullptr) return;
+        Phy* phy = phys_[r];
         const bool in_rx_range = d2 <= rx2;
         const double dist = std::sqrt(d2);
-        const sim::Time prop = propagation_delay(dist);
-        const ArrivalRec rec{phys_[r], ++local.next_arrival_id, dist,
-                             in_rx_range};
-        if (sharded_ && node_shard_[r] != here) {
-          // Remote receiver: noted now (arrival ids stay in grid order),
-          // grouped per destination shard after the pass.
-          local.remote_scratch.push_back(
-              RemoteRec{rec, prop, node_shard_[r]});
-          remote_mask |= std::uint64_t{1} << node_shard_[r];
-          return;
-        }
-        OpenGroup& slot = local.open_groups[static_cast<std::size_t>(prop)];
-        if (slot.epoch != epoch) {
-          slot.epoch = epoch;
-          slot.group = nullptr;
-          slot.single =
-              static_cast<std::uint32_t>(local.single_scratch.size());
-          local.single_scratch.push_back(PendingSingle{rec, prop});
-          return;
-        }
-        ArrivalGroup* g = slot.group;
-        if (g == nullptr) {
-          // Second receiver on this delay: promote the parked single.
-          PendingSingle& first = local.single_scratch[slot.single];
-          g = local.group_pool.acquire();
-          g->frame = frame;
-          g->end_time = now + prop + duration;
-          g->recs.push_back(first.rec);
-          first.rec.phy = nullptr;  // consumed
-          slot.group = g;
-          local.group_scratch.push_back(g);
-        } else if (g->recs.size() == kArrivalGroupCapacity) {
-          g = local.group_pool.acquire();
-          g->frame = frame;
-          g->end_time = slot.group->end_time;
-          slot.group = g;
-          local.group_scratch.push_back(g);
-        }
-        g->recs.push_back(rec);
-      });
-
-  for (ArrivalGroup* g : local.group_scratch) {
-    ++local.stats.arrival_groups;
-    local.stats.arrival_records += g->recs.size();
-    ++local.stats.arrival_group_size_hist[group_size_bucket(g->recs.size())];
-    auto on_start = [this, g] { fire_group_start(g); };
-    auto on_end = [this, g] { fire_group_end(g); };
-    static_assert(
-        sim::EventQueue::Handler::fits_inline<decltype(on_start)>());
-    static_assert(
-        sim::EventQueue::Handler::fits_inline<decltype(on_end)>());
-    sim_.at(g->end_time - duration, std::move(on_start), start_hint);
-    sim_.at(g->end_time, std::move(on_end), end_hint);
-  }
-  for (const PendingSingle& s : local.single_scratch) {
-    if (s.rec.phy == nullptr) continue;  // promoted into a group
-    Phy* phy = s.rec.phy;
-    const std::uint64_t arrival_id = s.rec.arrival_id;
-    const bool in_rx_range = s.rec.in_rx_range;
-    const double dist = s.rec.distance_m;
-    const sim::Time end = now + s.prop + duration;
-    auto on_start = [phy, arrival_id, frame, in_rx_range, dist, end] {
-      phy->arrival_start(arrival_id, frame, in_rx_range, dist, end);
-    };
-    auto on_end = [phy, arrival_id, frame, in_rx_range] {
-      phy->arrival_end(arrival_id, frame, in_rx_range);
-    };
-    // Scheduled per lone receiver per frame — the single hottest schedule
-    // site; they must never spill to the heap.
-    static_assert(
-        sim::EventQueue::Handler::fits_inline<decltype(on_start)>());
-    static_assert(
-        sim::EventQueue::Handler::fits_inline<decltype(on_end)>());
-    sim_.at(now + s.prop, std::move(on_start), start_hint);
-    sim_.at(end, std::move(on_end), end_hint);
-  }
-
-  if (!local.remote_scratch.empty()) {
-    // One grouping pass per destination shard, ascending — preserving the
-    // per-mailbox append order that barrier drains rely on. Both closures
-    // share ownership of a group; it dies on the destination thread when
-    // the second one is destroyed after firing. Lone remote receivers keep
-    // the direct per-receiver posts, exactly like the local singles above
-    // (their pending state lives in remote_scratch itself: a promoted
-    // entry's phy is nulled, and each entry belongs to exactly one dst).
-    // group_scratch (done with the local tally above) is reused to
-    // histogram remote groups once their record counts are final; the raw
-    // pointers stay valid through this call because the closures hold the
-    // owning references.
-    local.group_scratch.clear();
-    for (std::size_t dst = 0; dst < state_.size(); ++dst) {
-      if ((remote_mask & (std::uint64_t{1} << dst)) == 0) continue;
-      const std::uint64_t dst_epoch = ++local.open_epoch;
-      for (std::size_t i = 0; i < local.remote_scratch.size(); ++i) {
-        RemoteRec& rr = local.remote_scratch[i];
-        if (rr.home != dst) continue;
-        OpenGroup& slot =
-            local.open_groups[static_cast<std::size_t>(rr.prop)];
-        if (slot.epoch != dst_epoch) {
-          slot.epoch = dst_epoch;
-          slot.group = nullptr;
-          slot.single = static_cast<std::uint32_t>(i);
-          continue;
-        }
-        ArrivalGroup* g = slot.group;
-        if (g == nullptr || g->recs.size() == kArrivalGroupCapacity) {
-          auto sg = std::make_shared<ArrivalGroup>();
-          ArrivalGroup* fresh = sg.get();
-          fresh->frame = frame;
-          fresh->end_time = now + rr.prop + duration;
-          if (g == nullptr) {
-            RemoteRec& first = local.remote_scratch[slot.single];
-            fresh->recs.push_back(first.rec);
-            first.rec.phy = nullptr;  // consumed
-          }
-          g = fresh;
-          slot.group = g;
-          local.group_scratch.push_back(g);
-          sim_.post(dst, now + rr.prop,
-                    [this, sg] { fire_group_start(sg.get()); });
-          sim_.post(dst, g->end_time,
-                    [this, sg] { fire_remote_group_end(sg.get()); });
-        }
-        g->recs.push_back(rr.rec);
-      }
-      for (const RemoteRec& rr : local.remote_scratch) {
-        if (rr.home != dst || rr.rec.phy == nullptr) continue;
-        Phy* phy = rr.rec.phy;
-        const std::uint64_t arrival_id = rr.rec.arrival_id;
-        const bool in_rx_range = rr.rec.in_rx_range;
-        const double dist = rr.rec.distance_m;
-        const sim::Time start = now + rr.prop;
+        const sim::Time start = now + propagation_delay(dist);
         const sim::Time end = start + duration;
-        sim_.post(dst, start,
-                  [phy, arrival_id, frame, in_rx_range, dist, end] {
-                    phy->arrival_start(arrival_id, frame, in_rx_range, dist,
-                                       end);
-                  });
-        sim_.post(dst, end, [phy, arrival_id, frame, in_rx_range] {
+        const std::uint64_t arrival_id = ++local.next_arrival_id;
+        ++local.stats.arrival_records;
+        auto on_start = [phy, arrival_id, frame, in_rx_range, dist, end] {
+          phy->arrival_start(arrival_id, frame, in_rx_range, dist, end);
+        };
+        auto on_end = [phy, arrival_id, frame, in_rx_range] {
           phy->arrival_end(arrival_id, frame, in_rx_range);
-        });
-      }
-    }
-    for (const ArrivalGroup* g : local.group_scratch) {
-      ++local.stats.arrival_groups;
-      local.stats.arrival_records += g->recs.size();
-      ++local.stats
-            .arrival_group_size_hist[group_size_bucket(g->recs.size())];
-    }
-  }
+        };
+        // Scheduled per sensed receiver per frame — the single hottest
+        // schedule site; they must never spill to the heap.
+        static_assert(
+            sim::EventQueue::Handler::fits_inline<decltype(on_start)>());
+        static_assert(
+            sim::EventQueue::Handler::fits_inline<decltype(on_end)>());
+        if (sharded_ && node_shard_[r] != here) {
+          const std::uint32_t home = node_shard_[r];
+          remote_mask |= std::uint64_t{1} << home;
+          sim_.post(home, start, std::move(on_start));
+          sim_.post(home, end, std::move(on_end));
+          return;
+        }
+        sim_.at(start, std::move(on_start));
+        sim_.at(end, std::move(on_end));
+      });
 
   if (remote_mask != 0) {
     // Ghost busy-marker: every remote shard with a sensed receiver mirrors
@@ -409,13 +228,7 @@ ChannelStats Channel::stats() const {
     total.bits_transmitted += st.stats.bits_transmitted;
     total.cs_cells_visited += st.stats.cs_cells_visited;
     total.cs_entries_scanned += st.stats.cs_entries_scanned;
-    total.arrival_groups += st.stats.arrival_groups;
     total.arrival_records += st.stats.arrival_records;
-    total.arrival_group_fires += st.stats.arrival_group_fires;
-    total.arrival_member_fires += st.stats.arrival_member_fires;
-    for (std::size_t i = 0; i < total.arrival_group_size_hist.size(); ++i) {
-      total.arrival_group_size_hist[i] += st.stats.arrival_group_size_hist[i];
-    }
   }
   return total;
 }

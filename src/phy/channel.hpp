@@ -14,10 +14,15 @@
 // aggregate, so sensed_busy_until inspects only the <= 3x3 cells overlapping
 // the carrier-sense disc instead of the global in-flight list.
 //
+// Fan-out (DESIGN.md §17): transmit() walks the sensed set once, in the
+// spatial query's grid order, and gives every sensed receiver one
+// arrival-start and one arrival-end closure carrying all of its delivery
+// state inline.
+//
 // Sharded runs (DESIGN.md §15): every piece of per-transmission mutable
 // state — the cs-cell grid, the stats, the arrival-id stream — is replicated
 // per shard, so transmit() and sensed_busy_until() touch only the calling
-// shard's replica. Receivers homed on other shards get their arrival events
+// shard's replica. Receivers homed on other shards get their closure pair
 // as cross-shard posts (delivered at the next barrier, clamped to the window
 // end), and a ghost busy-marker is posted to every remote shard that had a
 // receiver in the sensed set so its carrier-sense replica reflects the
@@ -25,13 +30,10 @@
 // per-run deterministic.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "mobility/mobility_manager.hpp"
-#include "phy/arrival_group.hpp"
 #include "phy/frame.hpp"
 #include "sim/simulator.hpp"
 
@@ -60,21 +62,11 @@ struct ChannelStats {
   std::uint64_t cs_cells_visited = 0;
   /// In-flight entries distance-checked inside those cells.
   std::uint64_t cs_entries_scanned = 0;
-  /// Arrival groups created by transmit() and receiver records batched into
-  /// them, plus a log2 histogram of group sizes (bucket i = 2^i..2^(i+1)-1
-  /// records; buckets >= 3 are impossible under kArrivalGroupCapacity and
-  /// CI treats them as a zero budget). Only delay slots that attract a
-  /// second receiver form groups — singleton arrivals keep the direct
-  /// per-receiver closures and appear in none of these counters.
-  std::uint64_t arrival_groups = 0;
+  /// The PHY fan-out: one record per arrival transmit() schedules, i.e. per
+  /// sensed receiver per frame, whether it is scheduled on the transmitting
+  /// shard or posted to the receiver's home shard. Each record is one
+  /// start/end event pair.
   std::uint64_t arrival_records = 0;
-  std::array<std::uint64_t, 8> arrival_group_size_hist{};
-  /// Fire-side view: group events dispatched (each start and end event
-  /// counts once) and receiver records delivered by them. The difference is
-  /// exactly the events the per-receiver scheme would have executed on top,
-  /// which is how run summaries keep events_executed comparable.
-  std::uint64_t arrival_group_fires = 0;
-  std::uint64_t arrival_member_fires = 0;
 };
 
 class Channel {
@@ -140,13 +132,6 @@ class Channel {
     std::vector<InFlight> entries;
     sim::Time max_end = 0;
   };
-  /// A remote receiver noted during the fan-out's single grid pass; grouped
-  /// per destination shard afterwards (DESIGN.md §17).
-  struct RemoteRec {
-    ArrivalRec rec;
-    sim::Time prop = 0;
-    std::uint32_t home = 0;
-  };
   /// Per-shard replica of all per-transmission mutable state; exactly one
   /// in single-queue mode. Padded so neighboring shards' hot counters never
   /// share a cache line.
@@ -154,25 +139,11 @@ class Channel {
     std::vector<CsCell> cs_cells;
     std::uint64_t next_arrival_id = 0;
     ChannelStats stats;
-    // Arrival-group machinery: pooled groups, the prop-indexed open-group
-    // table (epoch-scoped to one grouping pass), and per-transmit scratch
-    // reused across calls.
-    ArrivalGroupPool group_pool;
-    std::vector<OpenGroup> open_groups;  // indexed by prop delay in ns
-    std::uint64_t open_epoch = 0;
-    std::vector<ArrivalGroup*> group_scratch;  // local groups this transmit
-    std::vector<PendingSingle> single_scratch;  // lone local receivers
-    std::vector<RemoteRec> remote_scratch;     // remote recs this transmit
   };
 
   std::uint32_t cs_cell_of(geo::Vec2 p) const;
   void add_in_flight(ShardState& st, geo::Vec2 tx_pos, sim::Time end);
   ShardState& local_state() const { return state_[sim_.current_shard()]; }
-
-  // Arrival-group fire paths (called from queue handlers; see transmit).
-  void fire_group_start(ArrivalGroup* g);
-  void fire_group_end(ArrivalGroup* g);
-  void fire_remote_group_end(ArrivalGroup* g);  // shared_ptr owns the group
 
   sim::Simulator& sim_;
   mobility::MobilityManager& mobility_;

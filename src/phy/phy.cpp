@@ -271,17 +271,4 @@ void Phy::arrival_end(std::uint64_t arrival_id, const FramePtr& frame,
   }
 }
 
-void deliver_arrival_group_start(const ArrivalGroup& g) {
-  for (const ArrivalRec& r : g.recs) {
-    r.phy->arrival_start(r.arrival_id, g.frame, r.in_rx_range, r.distance_m,
-                         g.end_time);
-  }
-}
-
-void deliver_arrival_group_end(const ArrivalGroup& g) {
-  for (const ArrivalRec& r : g.recs) {
-    r.phy->arrival_end(r.arrival_id, g.frame, r.in_rx_range);
-  }
-}
-
 }  // namespace rcast::phy

@@ -97,7 +97,6 @@ class Phy {
   void arrival_end(std::uint64_t arrival_id, const FramePtr& frame,
                    bool in_rx_range);
 
-
  private:
   struct Arrival {
     std::uint64_t id = 0;     // channel arrival id (0 is never assigned)
@@ -143,11 +142,5 @@ class Phy {
   sim::Time idle_check_at_ = 0;
   PhyStats stats_;
 };
-
-/// Batched delivery (DESIGN.md §17): unpack an arrival group into
-/// per-receiver arrival_start/arrival_end calls, in record order. Defined in
-/// phy.cpp so the per-record calls inline into the loop.
-void deliver_arrival_group_start(const ArrivalGroup& g);
-void deliver_arrival_group_end(const ArrivalGroup& g);
 
 }  // namespace rcast::phy

@@ -264,14 +264,6 @@ RunResult Network::run() {
   r.perf.segment_refreshes = geo.segment_refreshes;
   const phy::ChannelStats& ch = channel_.stats();
   r.perf.cs_cells_visited = ch.cs_cells_visited;
-  r.perf.arrival_group_size_hist = ch.arrival_group_size_hist;
-  // Arrival groups batch what used to be one event per receiver into one
-  // event per (frame, delay); fold the fan-out back in so events_executed
-  // keeps its historical meaning (and goldens/exports their exact values):
-  // each fired group of k records would have been k events before batching.
-  const std::uint64_t fanout = ch.arrival_member_fires - ch.arrival_group_fires;
-  r.perf.events_executed += fanout;
-  r.events_executed += fanout;
   r.perf.wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();
   r.perf.events_per_sec =

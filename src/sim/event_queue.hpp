@@ -113,24 +113,6 @@ class EventQueue {
  public:
   using Handler = util::InlineFunction<kEventInlineCapacity>;
 
-  /// Memoized routing decision for a burst of pushes into nearby times (the
-  /// channel fan-out scheduling one arrival pair per sensed receiver, a
-  /// MAC's every-interval beacon). While the cached tier window still
-  /// covers the pushed time and the tier layout has not changed, the push
-  /// skips routing entirely. Purely an accelerator: hinted and unhinted
-  /// pushes are indistinguishable in ordering and effect.
-  struct ScheduleHint {
-    ScheduleHint() = default;
-
-   private:
-    friend class EventQueue;
-    static constexpr std::uint32_t kTop = 0xFFFFFFFFu;
-    Time lo = 0;
-    Time hi = 0;  // half-open validity window; empty by default
-    std::uint64_t epoch = ~std::uint64_t{0};
-    std::uint32_t rung = kTop;
-  };
-
   /// Schedules `h` at absolute time `t` (must not be in the past relative to
   /// the last popped event). Takes the handler by rvalue reference so the
   /// caller's object (e.g. a sharded outbox entry) is moved into the slot
@@ -138,13 +120,7 @@ class EventQueue {
   /// counted in handler_moves(); hot sites should prefer the emplace
   /// overloads below, which construct the callable in the slot and never
   /// move it at all.
-  EventId push(Time t, Handler&& h) { return push_impl(t, h, nullptr); }
-
-  /// Hinted variant for hot call sites pushing runs of nearby timestamps;
-  /// the hint is filled on the first push and consulted on the rest.
-  EventId push(Time t, Handler&& h, ScheduleHint& hint) {
-    return push_impl(t, h, &hint);
-  }
+  EventId push(Time t, Handler&& h) { return push_impl(t, h); }
 
   /// Emplace push: constructs the callable directly in its slot. The only
   /// handler cost on this path is the one unavoidable construction; the
@@ -152,13 +128,7 @@ class EventQueue {
   template <class F, class = std::enable_if_t<
                          !std::is_same_v<std::decay_t<F>, Handler>>>
   EventId push(Time t, F&& f) {
-    return emplace_impl(t, std::forward<F>(f), nullptr);
-  }
-
-  template <class F, class = std::enable_if_t<
-                         !std::is_same_v<std::decay_t<F>, Handler>>>
-  EventId push(Time t, F&& f, ScheduleHint& hint) {
-    return emplace_impl(t, std::forward<F>(f), &hint);
+    return emplace_impl(t, std::forward<F>(f));
   }
 
   /// Cancels a pending event; no-op if it already fired or was cancelled.
@@ -451,7 +421,7 @@ class EventQueue {
     free_head_ = slot;
   }
 
-  EventId push_impl(Time t, Handler& h, ScheduleHint* hint) {
+  EventId push_impl(Time t, Handler& h) {
     RCAST_REQUIRE_MSG(t >= last_popped_, "scheduling into the past");
     if (h.heap_allocated()) ++heap_fallbacks_;
     const std::uint32_t slot = acquire_slot();
@@ -459,7 +429,7 @@ class EventQueue {
     s.handler = std::move(h);
     ++handler_moves_;
     s.live = true;
-    route(Entry{t, ++next_seq_, slot, s.gen}, hint);
+    route(Entry{t, ++next_seq_, slot, s.gen});
     ++stored_;
     ++live_;
     if (live_ > depth_high_water_) depth_high_water_ = live_;
@@ -468,14 +438,14 @@ class EventQueue {
   }
 
   template <class F>
-  EventId emplace_impl(Time t, F&& f, ScheduleHint* hint) {
+  EventId emplace_impl(Time t, F&& f) {
     RCAST_REQUIRE_MSG(t >= last_popped_, "scheduling into the past");
     const std::uint32_t slot = acquire_slot();
     Slot& s = slot_ref(slot);
     s.handler.emplace(std::forward<F>(f));
     if (s.handler.heap_allocated()) ++heap_fallbacks_;
     s.live = true;
-    route(Entry{t, ++next_seq_, slot, s.gen}, hint);
+    route(Entry{t, ++next_seq_, slot, s.gen});
     ++stored_;
     ++live_;
     if (live_ > depth_high_water_) depth_high_water_ = live_;
@@ -483,28 +453,10 @@ class EventQueue {
     return EventId(slot, s.gen);
   }
 
-  void route(const Entry& e, ScheduleHint* hint) {
+  void route(const Entry& e) {
     const Time t = e.time;
-    if (hint != nullptr && hint->epoch == layout_epoch_ && t >= hint->lo &&
-        t < hint->hi) {
-      if (hint->rung == ScheduleHint::kTop) {
-        push_top(e);
-      } else {
-        Rung& r = rungs_[hint->rung];
-        bucket_push(r.buckets[static_cast<std::size_t>((t - r.base) >> r.shift)],
-                    e);
-      }
-      return;
-    }
     if (t >= top_start_) {
       push_top(e);
-      if (hint != nullptr) {
-        *hint = ScheduleHint{};
-        hint->lo = top_start_;
-        hint->hi = std::numeric_limits<Time>::max();
-        hint->epoch = layout_epoch_;
-        hint->rung = ScheduleHint::kTop;
-      }
       return;
     }
     if (t < bottom_limit_) {
@@ -527,7 +479,6 @@ class EventQueue {
       bottom_.insert(std::upper_bound(bottom_.begin() + bottom_pos_,
                                       bottom_.end(), e, before),
                      e);
-      if (hint != nullptr) hint->epoch = ~std::uint64_t{0};  // not hintable
       if (bottom_.size() - bottom_pos_ > kBottomSpawnThreshold) {
         spawn_from_bottom();
       }
@@ -544,12 +495,6 @@ class EventQueue {
     const auto idx = static_cast<std::size_t>((t - r.base) >> r.shift);
     RCAST_DCHECK(idx >= r.cur && idx < r.nbuckets);
     bucket_push(r.buckets[idx], e);
-    if (hint != nullptr) {
-      hint->lo = r.cur_start();
-      hint->hi = r.end;
-      hint->epoch = layout_epoch_;
-      hint->rung = static_cast<std::uint32_t>(i);
-    }
   }
 
   void push_top(const Entry& e) {
@@ -621,7 +566,6 @@ class EventQueue {
       bottom_limit_ = s + r.width();
       ++r.cur;
       std::sort(bottom_.begin(), bottom_.end(), before);
-      ++layout_epoch_;
       return true;
     }
   }
@@ -662,7 +606,6 @@ class EventQueue {
     }
     rungs_.push_back(std::move(child));
     ++rung_spawns_;
-    ++layout_epoch_;
   }
 
   /// Moves the bottom's tail into a fresh finest rung tiled exactly against
@@ -708,7 +651,6 @@ class EventQueue {
     bottom_limit_ = r.base;
     rungs_.push_back(std::move(r));
     ++rung_spawns_;
-    ++layout_epoch_;
   }
 
   void retire_back_rung() {
@@ -719,7 +661,6 @@ class EventQueue {
     recycle_rung(std::move(rungs_.back()));
     rungs_.pop_back();
     if (rungs_.empty()) top_start_ = bottom_limit_;
-    ++layout_epoch_;
   }
 
   /// Sweeps the far-future tier into a fresh coarsest rung spanning
@@ -759,7 +700,6 @@ class EventQueue {
     top_max_ = std::numeric_limits<Time>::min();
     rungs_.push_back(std::move(r));
     ++rung_spawns_;
-    ++layout_epoch_;
   }
 
   Rung acquire_rung() {
@@ -809,7 +749,6 @@ class EventQueue {
     }
     std::erase_if(top_, is_dead);
     stored_ = live_;
-    ++layout_epoch_;
   }
 
   // --- tiers ---
@@ -839,7 +778,6 @@ class EventQueue {
   std::size_t stored_ = 0;  // entries physically held, incl. cancelled
   std::uint64_t next_seq_ = 0;
   std::uint64_t heap_fallbacks_ = 0;
-  std::uint64_t layout_epoch_ = 0;  // bumped whenever tier windows change
   Time last_popped_ = 0;
 
   // --- instrumentation ---

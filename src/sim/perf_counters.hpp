@@ -36,11 +36,6 @@ struct PerfCounters {
   /// Events fired in place from slot storage (every pop/pop_batch dispatch;
   /// sanity mirror of events_executed at the queue layer).
   std::uint64_t inplace_fires = 0;
-  /// Log2 histogram of PHY arrival-group sizes: bucket i counts groups of
-  /// 2^i..2^(i+1)-1 receiver records (last bucket open-ended). Groups are
-  /// capped at the SmallVec inline capacity, so buckets >= 3 prove a
-  /// capacity-invariant violation (CI checks them as a zero budget).
-  std::array<std::uint64_t, 8> arrival_group_size_hist{};
   /// Pool allocations served from the free list vs. carved fresh. Misses
   /// stop growing once the working set is warm.
   std::uint64_t pool_hits = 0;

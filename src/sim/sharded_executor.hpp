@@ -78,13 +78,6 @@ class ShardedExecutor {
     return s.queue.push(t, std::move(h));
   }
 
-  EventId push(std::size_t k, Time t, Handler h,
-               EventQueue::ScheduleHint& hint) {
-    Shard& s = shards_[k];
-    RCAST_REQUIRE(t >= s.now);
-    return s.queue.push(t, std::move(h), hint);
-  }
-
   bool cancel(std::size_t k, EventId id) { return shards_[k].queue.cancel(id); }
 
   /// Cross-shard event: appended to the (src, dst) mailbox and delivered by

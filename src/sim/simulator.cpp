@@ -36,11 +36,6 @@ EventId Simulator::shard_push(std::size_t shard, Time t, Handler h) {
   return exec_->push(shard, t, std::move(h));
 }
 
-EventId Simulator::shard_push(std::size_t shard, Time t, Handler h,
-                              ScheduleHint& hint) {
-  return exec_->push(shard, t, std::move(h), hint);
-}
-
 bool Simulator::shard_cancel(std::size_t shard, EventId id) {
   return exec_->cancel(shard, id);
 }

@@ -44,7 +44,6 @@ class WallDeadlineExceeded : public std::runtime_error {
 class Simulator {
  public:
   using Handler = EventQueue::Handler;
-  using ScheduleHint = EventQueue::ScheduleHint;
 
   /// `shards` > 1 runs the simulation on a ShardedExecutor (one spatial
   /// shard per worker thread) under conservative windows of `horizon` ns;
@@ -77,21 +76,6 @@ class Simulator {
     return queue_.push(t, std::forward<H>(h));
   }
 
-  /// Hinted variant for hot sites scheduling runs of nearby timestamps
-  /// (e.g. the channel fan-out, a MAC's per-interval beacon): the hint
-  /// memoizes the queue-tier routing across calls. Semantically identical
-  /// to the unhinted overload.
-  template <class H, class = std::enable_if_t<
-                         std::is_invocable_r_v<void, std::decay_t<H>&>>>
-  EventId at(Time t, H&& h, ScheduleHint& hint) {
-    if (exec_ != nullptr && g_shard_context.owner == this) {
-      return shard_push(g_shard_context.shard, t, Handler(std::forward<H>(h)),
-                        hint);
-    }
-    RCAST_REQUIRE(t >= now_);
-    return queue_.push(t, std::forward<H>(h), hint);
-  }
-
   /// Schedules `delay` nanoseconds from now (delay >= 0).
   template <class H, class = std::enable_if_t<
                          std::is_invocable_r_v<void, std::decay_t<H>&>>>
@@ -103,19 +87,6 @@ class Simulator {
                         Handler(std::forward<H>(h)));
     }
     return queue_.push(now_ + delay, std::forward<H>(h));
-  }
-
-  /// Hinted variant of after(); see at().
-  template <class H, class = std::enable_if_t<
-                         std::is_invocable_r_v<void, std::decay_t<H>&>>>
-  EventId after(Time delay, H&& h, ScheduleHint& hint) {
-    RCAST_REQUIRE(delay >= 0);
-    if (exec_ != nullptr && g_shard_context.owner == this) {
-      return shard_push(g_shard_context.shard,
-                        shard_now(g_shard_context.shard) + delay,
-                        Handler(std::forward<H>(h)), hint);
-    }
-    return queue_.push(now_ + delay, std::forward<H>(h), hint);
   }
 
   bool cancel(EventId id) {
@@ -197,8 +168,6 @@ class Simulator {
   // Out-of-line shard plumbing (the executor's type is incomplete here).
   Time shard_now(std::size_t shard) const;
   EventId shard_push(std::size_t shard, Time t, Handler h);
-  EventId shard_push(std::size_t shard, Time t, Handler h,
-                     ScheduleHint& hint);
   bool shard_cancel(std::size_t shard, EventId id);
 
   // pools_ is declared before queue_ so pending handlers (which may hold the

@@ -343,25 +343,6 @@ TEST(EventQueue, DepthHighWaterTracksPeak) {
   EXPECT_EQ(q.depth_high_water(), 3u);
 }
 
-// A memoized ScheduleHint must never change observable behavior — pops come
-// out identically whether the hint is fresh, reused across a window change,
-// or shared between wildly different horizons.
-TEST(EventQueue, ScheduleHintIsBehaviorNeutral) {
-  EventQueue q;
-  EventQueue::ScheduleHint hint;
-  std::vector<Time> fired;
-  Rng rng(17);
-  Time now = 0;
-  for (int i = 0; i < 20'000; ++i) {
-    const Time t = now + static_cast<Time>(rng.uniform_u64(2 * kMillisecond));
-    q.push(t, [&fired, t] { fired.push_back(t); }, hint);
-    if (i % 2 == 0) now = q.pop_batch([](EventQueue::Handler& h) { h(); });
-  }
-  while (!q.empty()) q.pop();
-  EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
-  EXPECT_EQ(fired.size(), 20'000u);
-}
-
 // --- in-place dispatch reentrancy (DESIGN.md §17) ---------------------------
 
 // A handler cancelling *itself* via its own (now stale) EventId mid-fire is

@@ -31,13 +31,11 @@ class DiffHarness {
  public:
   explicit DiffHarness(std::uint64_t seed) : rng_(seed) {}
 
-  void push(Time t, EventQueue::ScheduleHint* hint) {
+  void push(Time t) {
     const int tag = next_tag_++;
     auto record_q = [this, tag] { fired_q_.push_back(tag); };
     auto record_ref = [this, tag] { fired_ref_.push_back(tag); };
-    const EventId id = hint != nullptr
-                           ? q_.push(t, record_q, *hint)
-                           : q_.push(t, record_q);
+    const EventId id = q_.push(t, record_q);
     handles_.push_back(TrackedHandle{tag, t, id, ref_.push(t, record_ref)});
   }
 
@@ -96,34 +94,29 @@ class DiffHarness {
 
 // The headline: ~1M mixed operations across seeds, a horizon mix shaped
 // like a real run (MAC-timer near horizon, CBR mid horizon, route-cache
-// expiry far horizon, same-timestamp beacon bursts), hinted and unhinted
-// pushes, single pops and batched pops — identical behavior throughout.
+// expiry far horizon, same-timestamp beacon bursts), single pops and
+// batched pops — identical behavior throughout.
 TEST(EventQueueDifferential, MillionOpMixedChurn) {
   constexpr int kSeeds = 4;
   constexpr int kOpsPerSeed = 250'000;
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     DiffHarness h(seed);
-    EventQueue::ScheduleHint near_hint;
-    EventQueue::ScheduleHint far_hint;
     Time burst_time = 0;
     for (int step = 0; step < kOpsPerSeed; ++step) {
       const std::uint64_t op = h.rng().uniform_u64(16);
-      if (op < 4) {  // near horizon, hinted (channel-arrival shape)
-        h.push(h.now() + static_cast<Time>(h.rng().uniform_u64(2'000)),
-               &near_hint);
-      } else if (op < 7) {  // mid horizon, unhinted (CBR / backoff shape)
-        h.push(h.now() + static_cast<Time>(h.rng().uniform_u64(1'000'000)),
-               nullptr);
-      } else if (op < 9) {  // far horizon, hinted (route-cache expiry shape)
+      if (op < 4) {  // near horizon (channel-arrival shape)
+        h.push(h.now() + static_cast<Time>(h.rng().uniform_u64(2'000)));
+      } else if (op < 7) {  // mid horizon (CBR / backoff shape)
+        h.push(h.now() + static_cast<Time>(h.rng().uniform_u64(1'000'000)));
+      } else if (op < 9) {  // far horizon (route-cache expiry shape)
         h.push(h.now() + kSecond +
-                   static_cast<Time>(h.rng().uniform_u64(30 * kSecond)),
-               &far_hint);
+               static_cast<Time>(h.rng().uniform_u64(30 * kSecond)));
       } else if (op < 10) {  // same-timestamp burst (synced-beacon shape)
         if (burst_time <= h.now()) {
           burst_time = h.now() + 100 * kMicrosecond +
                        static_cast<Time>(h.rng().uniform_u64(kMillisecond));
         }
-        for (int i = 0; i < 4; ++i) h.push(burst_time, nullptr);
+        for (int i = 0; i < 4; ++i) h.push(burst_time);
       } else if (op < 13) {  // timer churn
         h.cancel_random();
       } else if (op < 15) {
@@ -146,8 +139,7 @@ TEST(EventQueueDifferential, MillionOpMixedChurn) {
 TEST(EventQueueDifferential, DeepSpawnChainWideHorizon) {
   DiffHarness h(99);
   for (int i = 0; i < 50'000; ++i) {
-    h.push(h.now() + static_cast<Time>(h.rng().uniform_u64(60 * kSecond)),
-           nullptr);
+    h.push(h.now() + static_cast<Time>(h.rng().uniform_u64(60 * kSecond)));
     if (i % 3 == 0) h.pop_one();
   }
   h.check_invariants();
@@ -195,7 +187,7 @@ TEST(EventQueueDifferential, CancelStormCompactionBound) {
     const Time t = 1 + static_cast<Time>(h.rng().uniform_u64(10 * kSecond));
     bool keep = (i % 500) == 0;
     if (keep) {
-      h.push(t, nullptr);
+      h.push(t);
       survivor_times.push_back(t);
     } else {
       ids.push_back(q.push(t, [] {}));
@@ -206,7 +198,7 @@ TEST(EventQueueDifferential, CancelStormCompactionBound) {
   // Storage still holds the tombstones...
   EXPECT_GT(q.stored_entries(), q.size());
   // ...until the next push crosses the 4:1 threshold and compacts.
-  h.push(10 * kSecond + 1, nullptr);
+  h.push(10 * kSecond + 1);
   EXPECT_LE(q.stored_entries(), 4 * q.size() + 1);
   // scheduled_count diverges from the reference by design here (the
   // tombstones were pushed into the ladder queue only), so compare the

@@ -471,5 +471,60 @@ TEST(ChannelAlloc, SteadyStateTransmitIsHeapFree) {
   EXPECT_EQ(util::AllocTracker::bytes(), 0u);
 }
 
+// --- Fan-out: one arrival pair per sensed receiver --------------------------
+
+// 12 receivers at exactly 100 m from the transmitter (3-4-5-style integer
+// offsets, so every receiver shares one propagation delay). Each must get
+// exactly one arrival and decode the frame once. With `shards` = 2 the
+// transmitter is homed on shard 0 and every receiver on shard 1, so the
+// whole fan-out is posted across the shard boundary.
+void expect_equidistant_receivers_decode_once(std::size_t shards) {
+  sim::Simulator sim(shards);
+  mobility::MobilityManager mobility(sim, geo::Rect{1000.0, 1000.0}, 550.0);
+  const geo::Vec2 center{500.0, 500.0};
+  mobility.add_node(0, std::make_unique<mobility::StaticModel>(center));
+  const double offsets[][2] = {{100, 0},  {-100, 0}, {0, 100},  {0, -100},
+                               {60, 80},  {60, -80}, {-60, 80}, {-60, -80},
+                               {28, 96},  {28, -96}, {-28, 96}, {-28, -96}};
+  for (std::size_t i = 0; i < 12; ++i) {
+    mobility.add_node(
+        static_cast<NodeId>(i + 1),
+        std::make_unique<mobility::StaticModel>(geo::Vec2{
+            center.x + offsets[i][0], center.y + offsets[i][1]}));
+  }
+  Channel channel(sim, mobility, ChannelConfig{});
+  if (shards > 1) {
+    std::vector<std::uint32_t> home(13, 1);
+    home[0] = 0;
+    channel.set_shard_map(std::move(home));
+  }
+  std::vector<std::unique_ptr<Phy>> phys;
+  for (NodeId i = 0; i <= 12; ++i) {
+    phys.push_back(std::make_unique<Phy>(sim, channel, i, nullptr));
+  }
+
+  const FramePtr frame = make_frame(0, kBroadcastId, 512);
+  if (shards > 1) sim.set_shard_context(0);
+  sim.at(0, [&channel, frame] {
+    channel.transmit(frame, channel.duration_of(512));
+  });
+  sim.clear_shard_context();
+  sim.run_until(sim::kSecond);
+
+  EXPECT_EQ(channel.stats().arrival_records, 12u);
+  for (NodeId i = 1; i <= 12; ++i) {
+    EXPECT_EQ(phys[i]->stats().rx_ok, 1u) << "receiver " << i;
+    EXPECT_EQ(phys[i]->stats().rx_collisions, 0u) << "receiver " << i;
+  }
+}
+
+TEST(ChannelFanOut, EquidistantReceiversDecodeOnce) {
+  expect_equidistant_receivers_decode_once(1);
+}
+
+TEST(ChannelFanOut, ShardedEquidistantReceiversDecodeOnce) {
+  expect_equidistant_receivers_decode_once(2);
+}
+
 }  // namespace
 }  // namespace rcast::phy

@@ -179,13 +179,12 @@ TEST(Sharded, RandomizedBoundaryCrossingStress) {
   }
 }
 
-// Cross-shard arrival groups (DESIGN.md §17): with 100 m strips far below
-// the 550 m carrier-sense range, nearly every transmit fans out into remote
-// groups posted across shard boundaries. The grouped remote path must (a)
-// actually group (histogram populated), (b) never exceed the inline record
-// capacity (buckets >= 3 empty — a heap spill in a cross-thread group would
-// be a race magnet), and (c) stay bit-reproducible run for run.
-TEST(Sharded, CrossShardArrivalGroupsReproducible) {
+// Cross-shard fan-out (DESIGN.md §15): with 100 m strips far below the
+// 550 m carrier-sense range, nearly every transmit posts most of its
+// arrival pairs across shard boundaries. The run must stay bit-reproducible,
+// and no posted closure may spill its captures to the heap (a cross-thread
+// heap box would be a race magnet).
+TEST(Sharded, CrossShardFanOutReproducible) {
   ScenarioConfig cfg = sharded_cfg(13, 8);
   cfg.num_nodes = 48;
   cfg.world = {800.0, 200.0};
@@ -194,18 +193,6 @@ TEST(Sharded, CrossShardArrivalGroupsReproducible) {
   const RunResult b = run_scenario(cfg);
   ASSERT_GT(a.originated, 0u);
   expect_bit_identical(a, b);
-
-  std::uint64_t grouped = 0;
-  for (std::size_t bkt = 0; bkt < a.perf.arrival_group_size_hist.size();
-       ++bkt) {
-    grouped += a.perf.arrival_group_size_hist[bkt];
-    if (bkt >= 3) {
-      EXPECT_EQ(a.perf.arrival_group_size_hist[bkt], 0u)
-          << "cross-shard group exceeded capacity (bucket " << bkt << ")";
-    }
-  }
-  EXPECT_GT(grouped, 0u);
-  EXPECT_EQ(a.perf.arrival_group_size_hist, b.perf.arrival_group_size_hist);
   EXPECT_EQ(a.perf.handler_heap_fallbacks, 0u);
 }
 
