@@ -5,7 +5,7 @@
 // This bench drives its scheme × rate grid through the campaign engine
 // (src/campaign/) instead of a hand-rolled loop: the grid is declared as a
 // Manifest, executed on the work-stealing runner, and cells are read back
-// with average_cell — the same path `rcast_campaign run` uses.
+// with average_cell — the same runner `rcast_campaignd run` drives.
 #include "bench/bench_common.hpp"
 #include "campaign/runner.hpp"
 
@@ -36,7 +36,7 @@ void panel(const char* name, sim::Time pause, const BenchScale& scale) {
 
   double var_odpm_sum = 0.0, var_rcast_sum = 0.0, var_awake_max = 0.0;
   for (Scheme s : m.schemes) {
-    std::printf("%-8s", std::string(scenario::scheme_name(s)).c_str());
+    std::printf("%-8s", std::string(scenario::to_string(s)).c_str());
     for (double rate : m.rates_pps) {
       const RunResult r = res.average_cell(
           [&](const ScenarioConfig& c) {

@@ -38,10 +38,15 @@ std::vector<std::string> split_list(const std::string& v) {
   throw ManifestError("manifest line " + std::to_string(line) + ": " + what);
 }
 
-double need_double(int line, const std::string& key, const std::string& v) {
-  const auto d = Flags::parse_double(v);
-  if (!d) fail(line, key + ": expected a number, got '" + v + "'");
-  return *d;
+/// Parses one value of a classic key as registered parameter `param`, so
+/// it is spelled and bounded exactly as `--set` and sweep axes take it.
+scenario::ParamValue need_param(int line, std::string_view param,
+                                std::string_view v) {
+  try {
+    return scenario::find_param(param)->parse(v);
+  } catch (const scenario::ParamError& e) {
+    fail(line, e.what());
+  }
 }
 
 std::uint64_t need_u64(int line, const std::string& key,
@@ -94,13 +99,14 @@ std::string num_id(double v) {
 
 // Registered params owned by the classic grid keys; as manifest overrides
 // or extra axes they would fight the expansion loops, so the parser points
-// at the legacy spelling instead.
+// at the grid key instead.
 constexpr std::pair<std::string_view, std::string_view> kAxisOwned[] = {
-    {"scheme", "schemes"},   {"routing", "routings"},
     {"power.scheme", "schemes"}, {"routing.protocol", "routings"},
-    {"rate_pps", "rates_pps"}, {"pause_s", "pauses_s"},
-    {"nodes", "nodes"},      {"seed", "seeds / seed_base"},
+    {"rate_pps", "rates_pps"},   {"pause_s", "pauses_s"},
+    {"nodes", "nodes"},          {"seed", "seeds / seed_base"},
 };
+
+}  // namespace
 
 std::string_view axis_owner(std::string_view param) {
   for (const auto& [p, owner] : kAxisOwned) {
@@ -108,8 +114,6 @@ std::string_view axis_owner(std::string_view param) {
   }
   return {};
 }
-
-}  // namespace
 
 Manifest parse_manifest(std::string_view text) {
   Manifest m;
@@ -138,45 +142,36 @@ Manifest parse_manifest(std::string_view text) {
     } else if (key == "schemes") {
       m.schemes.clear();
       for (const auto& item : split_list(value)) {
-        const auto s = scenario::scheme_from_string(item);
-        if (!s) fail(line_no, "unknown scheme '" + item + "'");
-        m.schemes.push_back(*s);
+        m.schemes.push_back(*scenario::scheme_from_string(
+            need_param(line_no, "power.scheme", item).token));
       }
       if (m.schemes.empty()) fail(line_no, "schemes: empty list");
     } else if (key == "routings") {
       m.routings.clear();
       for (const auto& item : split_list(value)) {
-        const auto p = scenario::routing_from_string(item);
-        if (!p) fail(line_no, "unknown routing '" + item + "'");
-        m.routings.push_back(*p);
+        m.routings.push_back(*scenario::routing_from_string(
+            need_param(line_no, "routing.protocol", item).token));
       }
       if (m.routings.empty()) fail(line_no, "routings: empty list");
     } else if (key == "rates_pps") {
       m.rates_pps.clear();
       for (const auto& item : split_list(value)) {
-        const double r = need_double(line_no, key, item);
-        if (r <= 0.0) fail(line_no, "rates_pps: must be > 0");
-        m.rates_pps.push_back(r);
+        m.rates_pps.push_back(need_param(line_no, "rate_pps", item).d);
       }
       if (m.rates_pps.empty()) fail(line_no, "rates_pps: empty list");
     } else if (key == "pauses_s") {
       m.pauses.clear();
       for (const auto& item : split_list(value)) {
-        if (item == "static") {
-          m.pauses.push_back(PauseSpec::static_scenario());
-        } else {
-          const double p = need_double(line_no, key, item);
-          if (p < 0.0) fail(line_no, "pauses_s: must be >= 0");
-          m.pauses.push_back(PauseSpec::fixed(p));
-        }
+        m.pauses.push_back(
+            item == "static"
+                ? PauseSpec::static_scenario()
+                : PauseSpec::fixed(need_param(line_no, "pause_s", item).d));
       }
       if (m.pauses.empty()) fail(line_no, "pauses_s: empty list");
     } else if (key == "nodes") {
       m.node_counts.clear();
       for (const auto& item : split_list(value)) {
-        const auto n = need_u64(line_no, key, item);
-        if (n < 2) fail(line_no, "nodes: need at least 2 nodes");
-        m.node_counts.push_back(static_cast<std::size_t>(n));
+        m.node_counts.push_back(need_param(line_no, key, item).u);
       }
       if (m.node_counts.empty()) fail(line_no, "nodes: empty list");
     } else if (key == "seeds") {
@@ -185,27 +180,21 @@ Manifest parse_manifest(std::string_view text) {
     } else if (key == "seed_base") {
       m.seed_base = need_u64(line_no, key, value);
     } else if (key == "duration_s") {
-      m.duration_s = need_double(line_no, key, value);
-      if (m.duration_s <= 0.0) fail(line_no, "duration_s: must be > 0");
-    } else if (key == "flows") {
+      m.duration_s = need_param(line_no, key, value).d;
+    } else if (key == "flows") {  // 0 (the default): default_flows(nodes)
       m.flows = static_cast<std::size_t>(need_u64(line_no, key, value));
     } else if (key == "payload_bytes") {
-      m.payload_bytes = need_double(line_no, key, value);
-      if (m.payload_bytes <= 0.0) fail(line_no, "payload_bytes: must be > 0");
+      m.payload_bytes = need_param(line_no, key, value).d;
     } else if (key == "speed_mps") {
-      m.speed_mps = need_double(line_no, key, value);
-      if (m.speed_mps < 0.0) fail(line_no, "speed_mps: must be >= 0");
+      m.speed_mps = need_param(line_no, key, value).d;
     } else if (key == "battery_j") {
-      m.battery_j = need_double(line_no, key, value);
-      if (m.battery_j < 0.0) fail(line_no, "battery_j: must be >= 0");
+      m.battery_j = need_param(line_no, key, value).d;
     } else if (key == "world_m") {
       const auto x = value.find('x');
       if (x == std::string::npos) fail(line_no, "world_m: expected 'WxH'");
-      m.world_w_m = need_double(line_no, key, trim(std::string_view(value).substr(0, x)));
-      m.world_h_m = need_double(line_no, key, trim(std::string_view(value).substr(x + 1)));
-      if (m.world_w_m <= 0.0 || m.world_h_m <= 0.0) {
-        fail(line_no, "world_m: dimensions must be > 0");
-      }
+      const std::string_view v(value);
+      m.world_w_m = need_param(line_no, "world.width_m", trim(v.substr(0, x))).d;
+      m.world_h_m = need_param(line_no, "world.height_m", trim(v.substr(x + 1))).d;
     } else if (const scenario::Param* p = scenario::find_param(key)) {
       // Any registered scenario parameter: single value = scalar override,
       // comma-separated list = extra sweep axis.
@@ -339,8 +328,7 @@ std::vector<Job> expand(const Manifest& m, const scenario::ScenarioConfig& base)
                 job.cfg.rate_pps = rate;
                 job.cfg.num_nodes = nodes;
                 job.cfg.num_flows =
-                    m.flows > 0 ? m.flows
-                                : std::max<std::size_t>(1, nodes / 5);
+                    m.flows > 0 ? m.flows : scenario::default_flows(nodes);
                 job.cfg.duration = sim::from_seconds(m.duration_s);
                 job.cfg.pause = pause.is_static
                                     ? job.cfg.duration
@@ -353,7 +341,7 @@ std::vector<Job> expand(const Manifest& m, const scenario::ScenarioConfig& base)
                 job.cfg.world = {m.world_w_m, m.world_h_m};
 
                 std::ostringstream id;
-                id << scenario::scheme_name(scheme) << '/'
+                id << scenario::to_string(scheme) << '/'
                    << scenario::to_string(routing) << "/r" << num_id(rate)
                    << "/p"
                    << (pause.is_static ? std::string("static")

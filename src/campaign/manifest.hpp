@@ -66,7 +66,7 @@ struct Manifest {
   // Scalars applied to every job.
   std::uint64_t seed_base = 1;
   double duration_s = 150.0;
-  std::size_t flows = 0;  // 0 = max(1, node count / 5) (the paper's ratio)
+  std::size_t flows = 0;  // 0 = scenario::default_flows(node count)
   double payload_bytes = 64.0;
   double speed_mps = 20.0;
   double battery_j = 0.0;
@@ -94,11 +94,18 @@ struct Manifest {
 ///   nodes, seeds, seed_base, duration_s, flows, payload_bytes, speed_mps,
 ///   battery_j, world_m ("WxH") — plus any parameter registered in
 ///   scenario/params.hpp: a single value is an override, a comma-separated
-///   list a sweep axis. Parameters owned by the classic grid keys (scheme,
-///   routing, rate_pps, pause_s, nodes, seed) must use those keys.
-/// Unknown or duplicate keys, malformed or out-of-bounds values raise
-/// ManifestError with the offending line number.
+///   list a sweep axis. Parameters owned by the classic grid keys
+///   (power.scheme, routing.protocol, rate_pps, pause_s, nodes, seed) must
+///   use those keys.
+/// Classic keys take their values in the spelling and bounds of the
+/// parameter they set (rates_pps as rate_pps, world_m as world.width_m and
+/// world.height_m, ...). Unknown or duplicate keys, malformed or
+/// out-of-bounds values raise ManifestError with the offending line number.
 Manifest parse_manifest(std::string_view text);
+
+/// The manifest key that owns registered parameter `param` as a grid axis
+/// ("schemes" for power.scheme, ...); empty when `param` is no grid axis.
+std::string_view axis_owner(std::string_view param);
 
 /// Reads and parses a manifest file; ManifestError on I/O failure too.
 Manifest parse_manifest_file(const std::string& path);

@@ -192,7 +192,7 @@ JobRecord record_from_json(const json::Value& v) {
   for (const scenario::Param& p : scenario::param_registry()) {
     const json::Value* member = cfg.find(std::string(p.name));
     // Records written before the policy-registry split (digest v3) stored
-    // the enum axes under their bare pre-v3 names.
+    // the enum axes under bare keys; read those as a fallback.
     if (member == nullptr && p.name == "power.scheme") {
       member = cfg.find("scheme");
     }
@@ -223,22 +223,11 @@ JobRecord record_from_json(const json::Value& v) {
                              e.what());
     }
   }
-  rec.cell = config_cell_digest(rec.cfg);
-  rec.scheme = rec.cfg.scheme;
-  rec.routing = rec.cfg.routing;
-  rec.mobility = rec.cfg.mobility_model;
-  rec.traffic = rec.cfg.traffic_pattern;
-  rec.nodes = rec.cfg.num_nodes;
-  rec.flows = rec.cfg.num_flows;
-  rec.rate_pps = rec.cfg.rate_pps;
-  rec.pause_s = sim::to_seconds(rec.cfg.pause);
-  rec.duration_s = sim::to_seconds(rec.cfg.duration);
-  rec.seed = rec.cfg.seed;
 
   const json::Value& res = v.at("result");
   scenario::RunResult& r = rec.result;
-  r.scheme = rec.scheme;
-  r.duration_s = rec.duration_s;
+  r.scheme = rec.cfg.scheme;
+  r.duration_s = sim::to_seconds(rec.cfg.duration);
   r.total_energy_j = res.at("total_energy_j").as_double();
   r.energy_variance = res.at("energy_variance").as_double();
   r.energy_mean_j = res.at("energy_mean_j").as_double();
@@ -443,20 +432,22 @@ void AggregateAccumulator::add(const JobRecord& rec) {
   // their own cells even though the CSV's classic columns coincide. Records
   // arrive in job-index order, so first-appearance order matches expansion
   // order deterministically.
-  auto [it, inserted] = by_cell_.try_emplace(rec.cell, cells_.size());
+  const scenario::ScenarioConfig& cfg = rec.cfg;
+  std::string cell = config_cell_digest(cfg);
+  auto [it, inserted] = by_cell_.try_emplace(cell, cells_.size());
   if (inserted) {
     cells_.emplace_back();
     AggregateRow& row = cells_.back().row;
-    row.cell = rec.cell;
-    row.scheme = rec.scheme;
-    row.routing = rec.routing;
-    row.mobility = rec.mobility;
-    row.traffic = rec.traffic;
-    row.nodes = rec.nodes;
-    row.flows = rec.flows;
-    row.rate_pps = rec.rate_pps;
-    row.pause_s = rec.pause_s;
-    row.duration_s = rec.duration_s;
+    row.cell = std::move(cell);
+    row.scheme = cfg.scheme;
+    row.routing = cfg.routing;
+    row.mobility = cfg.mobility_model;
+    row.traffic = cfg.traffic_pattern;
+    row.nodes = cfg.num_nodes;
+    row.flows = cfg.num_flows;
+    row.rate_pps = cfg.rate_pps;
+    row.pause_s = sim::to_seconds(cfg.pause);
+    row.duration_s = sim::to_seconds(cfg.duration);
   }
   cells_[it->second].acc.add(rec.result);
   ++records_;
@@ -498,7 +489,7 @@ std::string aggregate_csv(const std::vector<AggregateRow>& rows) {
         buf, sizeof(buf),
         "%s,%s,%s,%s,%zu,%zu,%.3f,%.1f,%.1f,%zu,%.2f,%.1f,%.1f,%.1f,%.6g,"
         "%.4f,%.3f,%llu,%llu,%zu,%.1f,%.1f\n",
-        std::string(scenario::scheme_name(row.scheme)).c_str(),
+        std::string(scenario::to_string(row.scheme)).c_str(),
         std::string(scenario::to_string(row.routing)).c_str(),
         row.mobility.c_str(), row.traffic.c_str(), row.nodes,
         row.flows, row.rate_pps, row.pause_s, row.duration_s, row.seeds,

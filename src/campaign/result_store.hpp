@@ -1,6 +1,6 @@
 // Structured result store for campaigns: one JSONL record per finished job
 // (config + full RunResult + perf counters), plus aggregation into the
-// paper-style per-cell CSV the bench binaries and `rcast_campaign export`
+// paper-style per-cell CSV the bench binaries and `rcast_campaignd export`
 // print.
 //
 // Determinism contract: records are written with fixed field order and
@@ -74,22 +74,9 @@ struct JobRecord {
   std::string digest;
   double wall_ms = 0.0;
   /// The full scenario config, reconstructed through the parameter registry
-  /// (every registered key present in the record's "config" object).
+  /// (every registered key present in the record's "config" object). Grid
+  /// coordinates and the cell digest (config_cell_digest) derive from it.
   scenario::ScenarioConfig cfg;
-  /// Seed-excluded cell digest of `cfg` (config_cell_digest): jobs sharing
-  /// it are seeds of the same grid point, whatever axes produced them.
-  std::string cell;
-  // Convenience grid coordinates, derived from `cfg`.
-  scenario::Scheme scheme = scenario::Scheme::kRcast;
-  scenario::RoutingProtocol routing = scenario::RoutingProtocol::kDsr;
-  std::string mobility;  // mobility.model registry name
-  std::string traffic;   // traffic.pattern registry name
-  std::size_t nodes = 0;
-  std::size_t flows = 0;
-  double rate_pps = 0.0;
-  double pause_s = 0.0;
-  double duration_s = 0.0;
-  std::uint64_t seed = 0;
   scenario::RunResult result;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <fstream>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -12,7 +11,6 @@
 #include "campaign/journal.hpp"
 #include "campaign/result_store.hpp"
 #include "sim/simulator.hpp"
-#include "stats/trace.hpp"
 
 namespace rcast::campaign {
 
@@ -81,29 +79,6 @@ CampaignResult run_campaign(const Manifest& manifest, const RunnerOptions& opt,
     pending.push_back(job.index);
   }
 
-  // Resolve which job (if any) gets the EventTracer attached. Only the
-  // owning worker touches the trace file, so no extra locking is needed.
-  constexpr std::size_t kNoTrace = static_cast<std::size_t>(-1);
-  std::size_t trace_idx = kNoTrace;
-  if (!opt.trace_path.empty()) {
-    if (opt.trace_job.empty()) {
-      if (!pending.empty()) trace_idx = pending.front();
-    } else {
-      for (const std::size_t idx : pending) {
-        if (cr.jobs[idx].id == opt.trace_job) {
-          trace_idx = idx;
-          break;
-        }
-      }
-      if (trace_idx == kNoTrace) {
-        std::fprintf(stderr,
-                     "trace: job '%s' is not pending (unknown id or already "
-                     "journaled) — no trace written\n",
-                     opt.trace_job.c_str());
-      }
-    }
-  }
-
   std::size_t threads = opt.threads;
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
@@ -135,35 +110,13 @@ CampaignResult run_campaign(const Manifest& manifest, const RunnerOptions& opt,
       cfg.max_wall_seconds = opt.job_timeout_s;
       const auto t0 = std::chrono::steady_clock::now();
       try {
-        if (idx == trace_idx || opt.live != nullptr) {
-          std::optional<std::ofstream> trace_out;
-          std::optional<stats::EventTracer> tracer;
-          scenario::Network net(cfg);
-          if (idx == trace_idx) {
-            trace_out.emplace(opt.trace_path);
-            if (!*trace_out) {
-              throw std::runtime_error("cannot open trace file " +
-                                       opt.trace_path);
-            }
-            tracer.emplace(*trace_out);
-            net.telemetry().subscribe_routing(&*tracer);
-            net.telemetry().subscribe_mac(&*tracer);
-          }
-          if (opt.live != nullptr) {
-            net.telemetry().subscribe_phy(opt.live);
-            net.telemetry().subscribe_mac(opt.live);
-            net.telemetry().subscribe_routing(opt.live);
-          }
-          outcome.result = net.run();
-          if (tracer) {
-            std::fprintf(
-                stderr, "trace: %llu events (%s) -> %s\n",
-                static_cast<unsigned long long>(tracer->lines_written()),
-                job.id.c_str(), opt.trace_path.c_str());
-          }
-        } else {
-          outcome.result = scenario::run_scenario(cfg);
+        scenario::Network net(cfg);
+        if (opt.live != nullptr) {
+          net.telemetry().subscribe_phy(opt.live);
+          net.telemetry().subscribe_mac(opt.live);
+          net.telemetry().subscribe_routing(opt.live);
         }
+        outcome.result = net.run();
         outcome.status = JobStatus::kOk;
       } catch (const std::exception& e) {
         outcome.status = JobStatus::kFailed;

@@ -38,13 +38,6 @@ struct RunnerOptions {
   std::size_t max_jobs = 0;
   /// Progress/ETA lines on stderr after each job completes.
   bool progress = false;
-  /// Attach an EventTracer (routing + MAC events, CSV) to a single job's
-  /// telemetry bus and stream it to this path; empty disables tracing.
-  std::string trace_path;
-  /// Job id to trace (see Job::id, e.g. "rcast_dsr_r1_p0_s1"); empty traces
-  /// the first pending job. A job that is skipped via the journal or never
-  /// claimed produces no trace.
-  std::string trace_job;
   /// Shard the pending job set across `shards` cooperating processes: this
   /// process only claims pending jobs with index % shards == shard. Journal
   /// skipping still covers every index, so per-shard journals carry the full

@@ -72,16 +72,6 @@ core::PrEstimator estimator_from_token(std::string_view t) {
   return PrEstimator::kNeighborCount;
 }
 
-std::string_view canon_scheme(std::string_view text) {
-  if (auto s = scheme_from_string(text)) return to_string(*s);
-  return {};
-}
-
-std::string_view canon_routing(std::string_view text) {
-  if (auto r = routing_from_string(text)) return to_string(*r);
-  return {};
-}
-
 // Effectively "no upper bound" for 64-bit parameters: both this literal and
 // any representable uint64 compare correctly in the double domain.
 constexpr double kU64Max = 18446744073709551615.0;
@@ -156,7 +146,7 @@ constexpr double kU64Max = 18446744073709551615.0;
 std::vector<Param> build_registry() {
   std::vector<Param> reg = {
       // --- topology / mobility / traffic (paper §4.1) ----------------------
-      PU("nodes", c.num_nodes, std::size_t, 1, 1e6,
+      PU("nodes", c.num_nodes, std::size_t, 2, 1e6,
          "Number of nodes placed uniformly in the world rectangle"),
       PD("world.width_m", c.world.width, 1, 1e6, "World width (m)"),
       PD("world.height_m", c.world.height, 1, 1e6, "World height (m)"),
@@ -189,7 +179,7 @@ std::vector<Param> build_registry() {
       PU("seed", c.seed, std::uint64_t, 0, kU64Max, "Master RNG seed"),
       {"power.scheme",
        ParamType::kEnum,
-       "Power-policy scheme (paper comparison axis; 'scheme' pre-v3)",
+       "Power-policy scheme (paper comparison axis)",
        0.0,
        0.0,
        true,
@@ -199,11 +189,10 @@ std::vector<Param> build_registry() {
        },
        [](ScenarioConfig& c, const ParamValue& v) {
          c.scheme = *scheme_from_string(v.token);
-       },
-       canon_scheme},
+       }},
       {"routing.protocol",
        ParamType::kEnum,
-       "Network-layer routing protocol ('routing' pre-v3)",
+       "Network-layer routing protocol",
        0.0,
        0.0,
        true,
@@ -213,8 +202,7 @@ std::vector<Param> build_registry() {
        },
        [](ScenarioConfig& c, const ParamValue& v) {
          c.routing = *routing_from_string(v.token);
-       },
-       canon_routing},
+       }},
       {"mobility.model",
        ParamType::kEnum,
        "Mobility model registry entry (rwp = random waypoint, rpgm = "
@@ -455,10 +443,6 @@ std::vector<Param> build_registry() {
 #undef PB
 #undef POH
 
-bool iequals_sv(std::string_view a, std::string_view b) {
-  return detail::iequals(a, b);
-}
-
 }  // namespace
 
 ParamValue ParamValue::of(double v) {
@@ -581,21 +565,16 @@ ParamValue Param::parse(std::string_view text) const {
     }
     case ParamType::kBool: {
       for (const char* t : {"true", "1", "yes", "on"}) {
-        if (iequals_sv(owned, t)) return ParamValue::of(true);
+        if (detail::iequals(owned, t)) return ParamValue::of(true);
       }
       for (const char* t : {"false", "0", "no", "off"}) {
-        if (iequals_sv(owned, t)) return ParamValue::of(false);
+        if (detail::iequals(owned, t)) return ParamValue::of(false);
       }
       throw fail("not a boolean");
     }
     case ParamType::kEnum: {
-      if (canonicalize != nullptr) {
-        const std::string_view canon = canonicalize(owned);
-        if (!canon.empty()) return ParamValue::of(canon);
-        throw fail("unknown token");
-      }
       for (const auto& t : tokens) {
-        if (iequals_sv(owned, t)) return ParamValue::of(t);
+        if (detail::iequals(owned, t)) return ParamValue::of(t);
       }
       throw fail("unknown token");
     }
@@ -609,13 +588,6 @@ const std::vector<Param>& param_registry() {
 }
 
 const Param* find_param(std::string_view name) {
-  // Legacy aliases: records, manifests, and CLI flags written before the
-  // policy-registry split (digest v3) used the bare axis names.
-  if (name == "scheme") {
-    name = "power.scheme";
-  } else if (name == "routing") {
-    name = "routing.protocol";
-  }
   for (const Param& p : param_registry()) {
     if (p.name == name) return &p;
   }

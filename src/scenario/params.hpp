@@ -8,8 +8,9 @@
 //      or a sweep axis (campaign/manifest.cpp),
 //   2. config digests — campaign::config_digest mixes every in_digest
 //      param, so no behavior-affecting field can alias a resumed job,
-//   3. the CLIs — rcast_sim/rcast_campaign `--set key=value` and the
-//      generated `--help-params` listing,
+//   3. the CLIs — rcast_sim/rcast_campaignd `--set key=value`, rcast_sim's
+//      classic flags (each one names a parameter), and the generated
+//      `--help-params` listing,
 //   4. the result store — records serialize and round-trip the full config
 //      (campaign/result_store.cpp),
 //   5. docs — the parameter reference in EXPERIMENTS.md is emitted from
@@ -97,17 +98,11 @@ struct Param {
   /// False only for knobs that cannot change the simulated result (e.g.
   /// max_wall_seconds, a wall-clock budget): excluded from config_digest.
   bool in_digest = true;
-  /// kEnum: accepted tokens, canonical spelling first-class.
+  /// kEnum: the canonical tokens, matched case-insensitively.
   std::vector<std::string_view> tokens;
 
   ParamValue (*get)(const ScenarioConfig&) = nullptr;
   void (*set)(ScenarioConfig&, const ParamValue&) = nullptr;
-
-  /// kEnum only, optional: alias-aware canonicalizer (e.g. scheme accepts
-  /// the historical "802.11" spelling). Returns the canonical token, or
-  /// empty if unrecognized. When null, the token table is matched directly
-  /// (case-insensitively).
-  std::string_view (*canonicalize)(std::string_view) = nullptr;
 
   /// Value on a default-constructed ScenarioConfig.
   ParamValue default_value() const;
@@ -124,7 +119,8 @@ struct Param {
 /// and the docs list). Built once, immutable afterwards.
 const std::vector<Param>& param_registry();
 
-/// Lookup by dotted name; nullptr if unknown.
+/// Lookup by dotted name (exact; each parameter has one spelling); nullptr
+/// if unknown.
 const Param* find_param(std::string_view name);
 
 /// Parse + assign in one step; throws ParamError on unknown name, bad

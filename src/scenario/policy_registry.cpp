@@ -41,22 +41,22 @@ void reference_kinematics(const ScenarioConfig& cfg, geo::Rect& world,
 PolicyRegistry<PowerPolicyEntry>& power_policies() {
   static PolicyRegistry<PowerPolicyEntry>* reg = [] {
     auto* r = new PolicyRegistry<PowerPolicyEntry>("power scheme");
-    r->add({std::string(to_string(Scheme::k80211)), Scheme::k80211,
-            /*uses_psm=*/false, core::OverhearingMap::psm_none(),
+    r->add({std::string(to_string(Scheme::k80211)), /*uses_psm=*/false,
+            core::OverhearingMap::psm_none(),
             [](const PowerPolicyContext&) -> std::unique_ptr<mac::PowerPolicy> {
               return std::make_unique<power::AlwaysOnPolicy>();
             }});
-    r->add({std::string(to_string(Scheme::kPsmNone)), Scheme::kPsmNone, true,
+    r->add({std::string(to_string(Scheme::kPsmNone)), true,
             core::OverhearingMap::psm_none(),
             [](const PowerPolicyContext&) -> std::unique_ptr<mac::PowerPolicy> {
               return std::make_unique<power::PsmPolicy>();
             }});
-    r->add({std::string(to_string(Scheme::kPsmAll)), Scheme::kPsmAll, true,
+    r->add({std::string(to_string(Scheme::kPsmAll)), true,
             core::OverhearingMap::psm_all(),
             [](const PowerPolicyContext&) -> std::unique_ptr<mac::PowerPolicy> {
               return std::make_unique<power::PsmPolicy>();
             }});
-    r->add({std::string(to_string(Scheme::kOdpm)), Scheme::kOdpm, true,
+    r->add({std::string(to_string(Scheme::kOdpm)), true,
             core::OverhearingMap::psm_none(),
             [](const PowerPolicyContext& ctx)
                 -> std::unique_ptr<mac::PowerPolicy> {
@@ -64,11 +64,11 @@ PolicyRegistry<PowerPolicyEntry>& power_policies() {
               odpm->set_telemetry(ctx.bus, ctx.id);
               return odpm;
             }});
-    r->add({std::string(to_string(Scheme::kRcast)), Scheme::kRcast, true,
+    r->add({std::string(to_string(Scheme::kRcast)), true,
             core::OverhearingMap::rcast(), make_rcast});
-    r->add({std::string(to_string(Scheme::kRcastBcast)), Scheme::kRcastBcast,
-            true, core::OverhearingMap::rcast_with_broadcast(), make_rcast});
-    r->add({std::string(to_string(Scheme::kLeach)), Scheme::kLeach, true,
+    r->add({std::string(to_string(Scheme::kRcastBcast)), true,
+            core::OverhearingMap::rcast_with_broadcast(), make_rcast});
+    r->add({std::string(to_string(Scheme::kLeach)), true,
             core::OverhearingMap::psm_none(),
             [](const PowerPolicyContext& ctx)
                 -> std::unique_ptr<mac::PowerPolicy> {
@@ -90,7 +90,6 @@ PolicyRegistry<RoutingEntry>& routing_protocols() {
   static PolicyRegistry<RoutingEntry>* reg = [] {
     auto* r = new PolicyRegistry<RoutingEntry>("routing protocol");
     r->add({std::string(to_string(RoutingProtocol::kDsr)),
-            RoutingProtocol::kDsr,
             [](const RoutingContext& ctx)
                 -> std::unique_ptr<routing::RoutingAgent> {
               routing::DsrConfig dsr_cfg = ctx.cfg.dsr;
@@ -103,7 +102,6 @@ PolicyRegistry<RoutingEntry>& routing_protocols() {
                                                     ctx.policy);
             }});
     r->add({std::string(to_string(RoutingProtocol::kAodv)),
-            RoutingProtocol::kAodv,
             [](const RoutingContext& ctx)
                 -> std::unique_ptr<routing::RoutingAgent> {
               return std::make_unique<routing::Aodv>(ctx.sim, ctx.mac,

@@ -72,7 +72,6 @@ struct TrafficContext {
 
 struct PowerPolicyEntry {
   std::string name;  // canonical, matches the power.scheme enum token
-  Scheme scheme;     // thin enum alias (goldens, serving ordinals)
   bool uses_psm;     // MacConfig::psm_enabled for this scheme
   core::OverhearingMap oh_map;  // DSR's per-class levels unless overridden
   std::function<std::unique_ptr<mac::PowerPolicy>(const PowerPolicyContext&)>
@@ -80,8 +79,7 @@ struct PowerPolicyEntry {
 };
 
 struct RoutingEntry {
-  std::string name;
-  RoutingProtocol protocol;
+  std::string name;  // canonical, matches the routing.protocol enum token
   std::function<std::unique_ptr<routing::RoutingAgent>(const RoutingContext&)>
       make;
 };
@@ -164,8 +162,9 @@ class PolicyRegistry {
 };
 
 /// The four registries, built-ins registered on first access. Registration
-/// order matches the Scheme / RoutingProtocol enum values so enum casts and
-/// index_of agree for the built-ins.
+/// order matches the Scheme / RoutingProtocol enum values — entry i is named
+/// to_string(static_cast<Scheme>(i)) — so enum casts and index_of agree for
+/// the built-ins (the serving index's one-byte ordinals rely on this).
 PolicyRegistry<PowerPolicyEntry>& power_policies();
 PolicyRegistry<RoutingEntry>& routing_protocols();
 PolicyRegistry<MobilityEntry>& mobility_models();

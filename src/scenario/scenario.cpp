@@ -38,14 +38,6 @@ sim::Time effective_horizon(const ScenarioConfig& cfg) {
 
 }  // namespace
 
-core::OverhearingMap oh_map_for(Scheme s) {
-  return power_policies().resolve(to_string(s)).oh_map;
-}
-
-bool scheme_uses_psm(Scheme s) {
-  return power_policies().resolve(to_string(s)).uses_psm;
-}
-
 // --------------------------------------------------------------------------
 // Node
 // --------------------------------------------------------------------------

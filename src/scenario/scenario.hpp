@@ -3,6 +3,7 @@
 // runs the simulation, and summarizes the metrics the paper's figures use.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -120,6 +121,12 @@ struct ScenarioConfig {
   /// simulated results, so it is excluded from config_digest.
   std::uint64_t journal_sync_every = 1;
 };
+
+/// Flow count when none is given: one CBR flow per five nodes, at least
+/// one. Campaign manifests and rcast_sim both default to it.
+inline std::size_t default_flows(std::size_t nodes) {
+  return std::max<std::size_t>(1, nodes / 5);
+}
 
 /// Flat result record; everything the benches print.
 struct RunResult {
@@ -273,11 +280,5 @@ class Network {
 
 /// Convenience: build + run in one call.
 RunResult run_scenario(const ScenarioConfig& cfg);
-
-/// The overhearing map a scheme uses (unless overridden).
-core::OverhearingMap oh_map_for(Scheme s);
-
-/// True if the scheme runs with PSM beacons/ATIM windows.
-bool scheme_uses_psm(Scheme s);
 
 }  // namespace rcast::scenario

@@ -64,9 +64,6 @@ inline constexpr std::array<Scheme, 6> kAllSchemes = {
     Scheme::kOdpm,   Scheme::kRcast,   Scheme::kRcastBcast,
 };
 
-/// Canonical display name (same string to_string returns).
-constexpr std::string_view scheme_name(Scheme s) { return to_string(s); }
-
 namespace detail {
 
 constexpr bool iequals(std::string_view a, std::string_view b) {
@@ -81,15 +78,12 @@ constexpr bool iequals(std::string_view a, std::string_view b) {
 
 }  // namespace detail
 
-/// Parses a scheme name, case-insensitively. Accepts the canonical names
-/// ("80211", "PSM-NONE", ..., "RCAST-BC") plus the historical CLI aliases
-/// ("802.11", "rcast-bcast").
+/// Parses a canonical scheme name ("80211", "PSM-NONE", ..., "RCAST-BC",
+/// "LEACH"), case-insensitively.
 constexpr std::optional<Scheme> scheme_from_string(std::string_view s) {
   for (Scheme scheme : kAllSchemes) {
     if (detail::iequals(s, to_string(scheme))) return scheme;
   }
-  if (detail::iequals(s, "802.11")) return Scheme::k80211;
-  if (detail::iequals(s, "rcast-bcast")) return Scheme::kRcastBcast;
   if (detail::iequals(s, to_string(Scheme::kLeach))) return Scheme::kLeach;
   return std::nullopt;
 }

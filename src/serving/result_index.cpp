@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "campaign/result_store.hpp"
 #include "scenario/policy_registry.hpp"
 
 namespace rcast::serving {
@@ -103,26 +104,27 @@ IndexEntry decode_entry(const unsigned char in[80]) {
   return e;
 }
 
-IndexEntry entry_from_record(const campaign::JobRecord& rec,
-                             std::uint64_t offset, std::uint32_t length) {
+IndexEntry index_entry(std::uint64_t job, std::uint64_t cfg_digest,
+                       const scenario::ScenarioConfig& cfg,
+                       std::uint64_t offset, std::uint32_t length) {
   IndexEntry e;
-  e.job = rec.job;
+  e.job = job;
   e.offset = offset;
-  e.cfg_digest = digest_to_u64(rec.digest);
-  e.cell_digest = digest_to_u64(rec.cell);
+  e.cfg_digest = cfg_digest;
+  e.cell_digest = digest_to_u64(campaign::config_cell_digest(cfg));
   e.length = length;
-  e.scheme = static_cast<std::uint8_t>(rec.scheme);
-  e.routing = static_cast<std::uint8_t>(rec.routing);
+  e.scheme = static_cast<std::uint8_t>(cfg.scheme);
+  e.routing = static_cast<std::uint8_t>(cfg.routing);
   e.mobility = static_cast<std::uint8_t>(
-      scenario::mobility_models().index_of(rec.mobility));
+      scenario::mobility_models().index_of(cfg.mobility_model));
   e.traffic = static_cast<std::uint8_t>(
-      scenario::traffic_patterns().index_of(rec.traffic));
-  e.nodes = static_cast<std::uint32_t>(rec.nodes);
-  e.flows = static_cast<std::uint32_t>(rec.flows);
-  e.rate_pps = rec.rate_pps;
-  e.pause_s = rec.pause_s;
-  e.duration_s = rec.duration_s;
-  e.seed = rec.seed;
+      scenario::traffic_patterns().index_of(cfg.traffic_pattern));
+  e.nodes = static_cast<std::uint32_t>(cfg.num_nodes);
+  e.flows = static_cast<std::uint32_t>(cfg.num_flows);
+  e.rate_pps = cfg.rate_pps;
+  e.pause_s = sim::to_seconds(cfg.pause);
+  e.duration_s = sim::to_seconds(cfg.duration);
+  e.seed = cfg.seed;
   return e;
 }
 
@@ -320,8 +322,9 @@ std::size_t ResultIndex::index_new_lines(bool write_sidecar) {
       continue;
     }
     const campaign::JobRecord rec = campaign::parse_result_line(line);
-    IndexEntry e = entry_from_record(
-        rec, start, static_cast<std::uint32_t>(line.size()));
+    const IndexEntry e =
+        index_entry(rec.job, digest_to_u64(rec.digest), rec.cfg, start,
+                    static_cast<std::uint32_t>(line.size()));
     entries_.push_back(e);
     insert_maps(entries_.size() - 1);
     indexed_bytes_ = offset;

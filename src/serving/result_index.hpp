@@ -33,7 +33,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "campaign/result_store.hpp"
+#include "scenario/scenario.hpp"
 #include "serving/mapped_file.hpp"
 
 namespace rcast::serving {
@@ -140,8 +140,12 @@ class ResultIndex {
 void encode_entry(const IndexEntry& e, unsigned char out[80]);
 IndexEntry decode_entry(const unsigned char in[80]);
 
-/// Builds an IndexEntry from a parsed JSONL record and its extent.
-IndexEntry entry_from_record(const campaign::JobRecord& rec,
-                             std::uint64_t offset, std::uint32_t length);
+/// The entry of one stored record: its job index and cfg digest, the config
+/// it ran (source of the cell digest and the grid coordinates) and its JSONL
+/// extent. The worker's commit hook and the rebuild from JSONL both build
+/// entries here, which is what keeps their sidecars byte-identical.
+IndexEntry index_entry(std::uint64_t job, std::uint64_t cfg_digest,
+                       const scenario::ScenarioConfig& cfg,
+                       std::uint64_t offset, std::uint32_t length);
 
 }  // namespace rcast::serving

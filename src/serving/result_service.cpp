@@ -83,7 +83,8 @@ campaign::AggregateRow ResultService::fold_cell_subset(
   campaign::AggregateAccumulator acc;
   for (const std::size_t job : jobs) {
     const Winner& w = winner_by_job_.at(job);
-    if (w.entry.cell_digest != cell_digest || !filter.matches(w.entry)) {
+    if (w.entry.cell_digest != cell_digest ||
+        (filter.seed && *filter.seed != w.entry.seed)) {
       continue;
     }
     acc.add(campaign::parse_result_line(
@@ -123,15 +124,14 @@ std::string ResultService::aggregate_csv(const AggregateFilter& filter) {
   jobs.reserve(winner_by_job_.size());
   for (const auto& [job, w] : winner_by_job_) jobs.push_back(job);
   std::sort(jobs.begin(), jobs.end());
-  AggregateFilter cell_filter = filter;
-  cell_filter.seed.reset();  // seeds vary within a cell; checked per record
   std::unordered_set<std::uint64_t> seen_cells;
   std::vector<campaign::AggregateRow> rows;
   for (const std::size_t job : jobs) {
     const Winner& w = winner_by_job_.at(job);
     const std::uint64_t cell = w.entry.cell_digest;
     if (!seen_cells.insert(cell).second) continue;
-    if (!cell_filter.matches(w.entry)) continue;
+    // The seed varies within a cell: fold_cell_subset checks it per record.
+    if (!filter.matches_cell(w.entry)) continue;
     if (filter.seed) {
       bool any = false;
       campaign::AggregateRow row = fold_cell_subset(cell, filter, any);

@@ -7,7 +7,8 @@
 // write superseded by a re-run), the last-scanned record wins, and
 // aggregates fold the winning records in job-index order through
 // scenario::RunAverager — so the CSV this service exports is byte-identical
-// to `rcast_campaign export` over the merged store.
+// to campaign::export_aggregate_csv (`rcast_campaignd export`) over the
+// merged store.
 //
 // Cache invalidation: refresh() re-scans the files for appended records
 // (the daemon calls it when it observes journal growth) and drops exactly
@@ -56,7 +57,9 @@ struct AggregateFilter {
            !rate_pps && !pause_s && !duration_s && !seed;
   }
 
-  bool matches(const IndexEntry& e) const {
+  /// Every field but the seed: the part of the filter that is constant
+  /// across a cell's records (the seed is checked per record).
+  bool matches_cell(const IndexEntry& e) const {
     return (!scheme || *scheme == e.scheme) &&
            (!routing || *routing == e.routing) &&
            (!mobility || *mobility == e.mobility) &&
@@ -64,8 +67,7 @@ struct AggregateFilter {
            (!nodes || *nodes == e.nodes) && (!flows || *flows == e.flows) &&
            (!rate_pps || *rate_pps == e.rate_pps) &&
            (!pause_s || *pause_s == e.pause_s) &&
-           (!duration_s || *duration_s == e.duration_s) &&
-           (!seed || *seed == e.seed);
+           (!duration_s || *duration_s == e.duration_s);
   }
 };
 
@@ -85,7 +87,7 @@ class ResultService {
       std::uint64_t cell_digest);
 
   /// Aggregate CSV over every winning record that passes `filter` (default:
-  /// all of them — byte-identical to `rcast_campaign export` on the merged
+  /// all of them — byte-identical to `rcast_campaignd export` on the merged
   /// store). Rows keep first-appearance cell order, so a filtered export is
   /// exactly the unfiltered one with non-matching rows removed — except
   /// under a seed constraint, which recomputes each row from the matching

@@ -1,8 +1,11 @@
 #include "serving/shard_supervisor.hpp"
 
 #include <cerrno>
+#include <chrono>
+#include <csignal>
 #include <cstring>
 #include <stdexcept>
+#include <thread>
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -41,16 +44,33 @@ void ShardSupervisor::start(
   }
 }
 
-bool ShardSupervisor::wait_all() {
+bool ShardSupervisor::wait_all(const std::function<bool()>& stop_requested) {
+  bool stopping = false;
   for (;;) {
+    // A requested stop SIGTERMs the fleet once; the workers' journals make
+    // the interruption resumable.
+    if (!stopping && stop_requested()) {
+      stopping = true;
+      std::lock_guard<std::mutex> lock(mu_);
+      for (const WorkerStatus& w : workers_) {
+        if (w.running) ::kill(w.pid, SIGTERM);
+      }
+    }
     int wstatus = 0;
-    const pid_t pid = ::waitpid(-1, &wstatus, 0);
+    const pid_t pid = ::waitpid(-1, &wstatus, WNOHANG);
+    if (pid == 0) {  // workers still running; look at the stop flag again
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      continue;
+    }
     if (pid < 0) {
       if (errno == EINTR) continue;
       if (errno == ECHILD) break;  // no children left
       throw std::runtime_error(std::string("waitpid failed: ") +
                                std::strerror(errno));
     }
+    // A group Ctrl-C can kill a worker before the check above sees the
+    // stop, so look again before respawning it.
+    const bool stop_now = stopping || stop_requested();
 
     std::lock_guard<std::mutex> lock(mu_);
     std::size_t idx = workers_.size();
@@ -67,12 +87,12 @@ bool ShardSupervisor::wait_all() {
       w.running = false;
       w.exit_code = WEXITSTATUS(wstatus);
     } else if (WIFSIGNALED(wstatus)) {
-      if (w.respawns < max_respawns_) {
+      if (!stop_now && w.respawns < max_respawns_) {
         ++w.respawns;
         w.pid = spawn(argvs_[idx]);  // resume from the shard journal
       } else {
         w.running = false;
-        w.gave_up = true;
+        w.gave_up = !stop_now;
       }
     }
   }

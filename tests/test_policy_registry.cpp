@@ -2,7 +2,7 @@
 // full registered-name list, duplicate registration is a startup contract
 // violation, every built-in round-trips name -> entry -> ordinal, and a run
 // configured through the registry string surface is bit-identical to one
-// configured through the legacy enum fields.
+// configured through the enum fields.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -58,17 +58,16 @@ TEST(PolicyRegistry, BuiltInsRoundTrip) {
   for (std::size_t i = 0; i < power_policies().size(); ++i) {
     const PowerPolicyEntry& e = power_policies().at(i);
     // Registration order matches the Scheme enum, so ordinal casts and
-    // string lookups agree (the serving index depends on this).
-    EXPECT_EQ(e.scheme, static_cast<Scheme>(i));
-    EXPECT_EQ(e.name, to_string(e.scheme));
+    // string lookups agree (the serving index's one-byte ordinals depend on
+    // this).
+    EXPECT_EQ(e.name, to_string(static_cast<Scheme>(i)));
     EXPECT_EQ(power_policies().index_of(e.name), i);
     EXPECT_EQ(power_policies().find(e.name), &e);
   }
   ASSERT_EQ(routing_protocols().size(), 2u);
   for (std::size_t i = 0; i < routing_protocols().size(); ++i) {
     const RoutingEntry& e = routing_protocols().at(i);
-    EXPECT_EQ(e.protocol, static_cast<RoutingProtocol>(i));
-    EXPECT_EQ(e.name, to_string(e.protocol));
+    EXPECT_EQ(e.name, to_string(static_cast<RoutingProtocol>(i)));
     EXPECT_EQ(routing_protocols().index_of(e.name), i);
   }
   ASSERT_EQ(mobility_models().size(), 2u);
@@ -112,9 +111,6 @@ TEST(PolicyRegistry, EnumAliasAndRegistryStringBitIdentical) {
   via_string.routing = RoutingProtocol::kAodv;
   set_param(via_string, "power.scheme", "rcast");
   set_param(via_string, "routing.protocol", "dsr");
-  // The pre-v3 spellings stay live as aliases.
-  set_param(via_string, "scheme", "RCAST");
-  set_param(via_string, "routing", "DSR");
 
   const RunResult a = run_scenario(via_enum);
   const RunResult b = run_scenario(via_string);

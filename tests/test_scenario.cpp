@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "scenario/experiment.hpp"
+#include "scenario/policy_registry.hpp"
 #include "scenario/scenario.hpp"
 
 namespace rcast::scenario {
@@ -19,23 +20,28 @@ ScenarioConfig small_cfg(Scheme s, std::uint64_t seed = 1) {
   return cfg;
 }
 
+const PowerPolicyEntry& policy(Scheme s) {
+  return power_policies().resolve(to_string(s));
+}
+
 TEST(Scenario, SchemeToOverhearingMap) {
-  EXPECT_EQ(oh_map_for(Scheme::kRcast).data, mac::OverhearingMode::kRandomized);
-  EXPECT_EQ(oh_map_for(Scheme::kRcast).rerr,
+  EXPECT_EQ(policy(Scheme::kRcast).oh_map.data,
+            mac::OverhearingMode::kRandomized);
+  EXPECT_EQ(policy(Scheme::kRcast).oh_map.rerr,
             mac::OverhearingMode::kUnconditional);
-  EXPECT_EQ(oh_map_for(Scheme::kPsmAll).data,
+  EXPECT_EQ(policy(Scheme::kPsmAll).oh_map.data,
             mac::OverhearingMode::kUnconditional);
-  EXPECT_EQ(oh_map_for(Scheme::kPsmNone).data, mac::OverhearingMode::kNone);
-  EXPECT_EQ(oh_map_for(Scheme::kOdpm).data, mac::OverhearingMode::kNone);
-  EXPECT_EQ(oh_map_for(Scheme::kRcastBcast).rreq_bcast,
+  EXPECT_EQ(policy(Scheme::kPsmNone).oh_map.data, mac::OverhearingMode::kNone);
+  EXPECT_EQ(policy(Scheme::kOdpm).oh_map.data, mac::OverhearingMode::kNone);
+  EXPECT_EQ(policy(Scheme::kRcastBcast).oh_map.rreq_bcast,
             mac::OverhearingMode::kRandomized);
 }
 
 TEST(Scenario, SchemeUsesPsm) {
-  EXPECT_FALSE(scheme_uses_psm(Scheme::k80211));
-  EXPECT_TRUE(scheme_uses_psm(Scheme::kPsmNone));
-  EXPECT_TRUE(scheme_uses_psm(Scheme::kOdpm));
-  EXPECT_TRUE(scheme_uses_psm(Scheme::kRcast));
+  EXPECT_FALSE(policy(Scheme::k80211).uses_psm);
+  EXPECT_TRUE(policy(Scheme::kPsmNone).uses_psm);
+  EXPECT_TRUE(policy(Scheme::kOdpm).uses_psm);
+  EXPECT_TRUE(policy(Scheme::kRcast).uses_psm);
 }
 
 TEST(Scenario, SchemeNames) {

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -267,7 +268,7 @@ TEST(ResultIndex, IncrementalAppendMatchesRebuild) {
   const std::string idx_path = ResultIndex::sidecar_path(jsonl);
 
   // Index records one by one through append() as the store writes them —
-  // the worker's on_commit path, which fills every field from the job
+  // the worker's on_commit path, which builds every entry from the job
   // config rather than re-parsing the line.
   auto store = campaign::ResultStore::open_append(jsonl);
   std::optional<ResultIndex> idx;
@@ -275,23 +276,9 @@ TEST(ResultIndex, IncrementalAppendMatchesRebuild) {
     const auto extent = store.append(jobs[i], synth_result(i), 1.5);
     if (!idx) idx = ResultIndex::open(jsonl);
     if (extent.offset >= idx->indexed_bytes()) {
-      const auto& cfg = jobs[i].cfg;
-      IndexEntry e;
-      e.job = jobs[i].index;
-      e.offset = extent.offset;
-      e.length = extent.length;
-      e.cfg_digest = serving::digest_to_u64(jobs[i].digest);
-      e.cell_digest =
-          serving::digest_to_u64(campaign::config_cell_digest(cfg));
-      e.scheme = static_cast<std::uint8_t>(cfg.scheme);
-      e.routing = static_cast<std::uint8_t>(cfg.routing);
-      e.nodes = static_cast<std::uint32_t>(cfg.num_nodes);
-      e.flows = static_cast<std::uint32_t>(cfg.num_flows);
-      e.rate_pps = cfg.rate_pps;
-      e.pause_s = sim::to_seconds(cfg.pause);
-      e.duration_s = sim::to_seconds(cfg.duration);
-      e.seed = cfg.seed;
-      idx->append(e);
+      idx->append(serving::index_entry(
+          jobs[i].index, serving::digest_to_u64(jobs[i].digest), jobs[i].cfg,
+          extent.offset, extent.length));
     }
   }
   store.close();
@@ -973,10 +960,12 @@ TEST(HttpServer, ConcurrentClients) {
 
 // -------------------------------------------------------------- supervisor --
 
+const auto kNeverStop = [] { return false; };
+
 TEST(ShardSupervisor, AllExitZero) {
   serving::ShardSupervisor sup;
   sup.start({{"/bin/sh", "-c", "exit 0"}, {"/bin/sh", "-c", "exit 0"}});
-  EXPECT_TRUE(sup.wait_all());
+  EXPECT_TRUE(sup.wait_all(kNeverStop));
   for (const auto& w : sup.status()) {
     EXPECT_FALSE(w.running);
     EXPECT_EQ(w.exit_code, 0);
@@ -987,7 +976,7 @@ TEST(ShardSupervisor, AllExitZero) {
 TEST(ShardSupervisor, NonzeroExitIsNotRespawned) {
   serving::ShardSupervisor sup;
   sup.start({{"/bin/sh", "-c", "exit 3"}});
-  EXPECT_FALSE(sup.wait_all());
+  EXPECT_FALSE(sup.wait_all(kNeverStop));
   const auto st = sup.status();
   ASSERT_EQ(st.size(), 1u);
   EXPECT_EQ(st[0].exit_code, 3);
@@ -1004,7 +993,7 @@ TEST(ShardSupervisor, SignalDeathRespawnsUntilSuccess) {
                              "touch " + marker + "; kill -9 $$; fi";
   serving::ShardSupervisor sup(/*max_respawns=*/3);
   sup.start({{"/bin/sh", "-c", script}});
-  EXPECT_TRUE(sup.wait_all());
+  EXPECT_TRUE(sup.wait_all(kNeverStop));
   const auto st = sup.status();
   ASSERT_EQ(st.size(), 1u);
   EXPECT_EQ(st[0].respawns, 1);
@@ -1014,11 +1003,29 @@ TEST(ShardSupervisor, SignalDeathRespawnsUntilSuccess) {
 TEST(ShardSupervisor, GivesUpAfterMaxRespawns) {
   serving::ShardSupervisor sup(/*max_respawns=*/2);
   sup.start({{"/bin/sh", "-c", "kill -9 $$"}});
-  EXPECT_FALSE(sup.wait_all());
+  EXPECT_FALSE(sup.wait_all(kNeverStop));
   const auto st = sup.status();
   ASSERT_EQ(st.size(), 1u);
   EXPECT_TRUE(st[0].gave_up);
   EXPECT_EQ(st[0].respawns, 2);
+}
+
+TEST(ShardSupervisor, StopRequestEndsFleetWithoutRespawn) {
+  serving::ShardSupervisor sup(/*max_respawns=*/5);
+  sup.start({{"/bin/sh", "-c", "exec sleep 30"},
+             {"/bin/sh", "-c", "exec sleep 30"}});
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto stop_after_100ms = [&] {
+    return std::chrono::steady_clock::now() - t0 >
+           std::chrono::milliseconds(100);
+  };
+  EXPECT_FALSE(sup.wait_all(stop_after_100ms));
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+  for (const auto& w : sup.status()) {
+    EXPECT_FALSE(w.running);
+    EXPECT_EQ(w.respawns, 0);  // SIGTERM'd by the stop, not recovered
+    EXPECT_FALSE(w.gave_up);
+  }
 }
 
 // ----------------------------------------------------------------- metrics --

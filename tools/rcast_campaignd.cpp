@@ -1,11 +1,9 @@
-// rcast_campaignd — campaign-as-a-service daemon.
-//
-// Where rcast_campaign runs one process over one journal, rcast_campaignd
-// supervises a fleet of worker *processes* (one per shard of the manifest
-// grid), serves the growing result store over HTTP while the fleet runs,
-// and keeps every byte-identity guarantee of the single-process tool: the
-// merged export of a sharded run — including one that was kill -9'd and
-// resumed — matches `rcast_campaign run && rcast_campaign export` exactly.
+// rcast_campaignd — the campaign CLI. `run` shards a manifest grid across
+// supervised worker *processes* (--shards=1 is a plain single-worker run)
+// and can serve the growing result store over HTTP while the fleet runs.
+// The merged export of a sharded run — even one that was kill -9'd and
+// resumed — is byte-identical to an uninterrupted --shards=1 run.
+// SIGINT/SIGTERM stop the daemon and its workers (exit 128+signal).
 //
 //   rcast_campaignd run     MANIFEST --out=DIR [--shards=N] [--port=P]
 //   rcast_campaignd resume  MANIFEST --out=DIR [same knobs]
@@ -16,17 +14,21 @@
 //   rcast_campaignd worker  MANIFEST --out=DIR --shards=N --shard=K  (internal)
 //
 // Layout under DIR: journal.shard<k>.log, results.shard<k>.jsonl (+ .idx
-// sidecar), metrics.shard<k>.json. Workers are resumable idempotent units:
-// the supervisor re-execs any worker that dies to a signal and the journal
-// resume path absorbs the loss. Endpoints: /status (fleet + journal +
-// cache view), /results?digest=<16hex> (point lookup via the index),
-// /aggregate?cell=<16hex> (memoized seed-average), /aggregate (full CSV,
-// optionally filtered by the grid coordinates the index records carry:
-// ?scheme=rcast&routing=dsr&mobility.model=rpgm&traffic.pattern=sensing
-// &nodes=60&flows=8&rate_pps=4&pause_s=30&duration_s=900&seed=3),
-// /metrics (chunked live counter stream merged across shards).
+// sidecar), metrics.shard<k>.json; export/serve/status/reindex also read
+// the single-journal layout (journal.log + results.jsonl). Workers are
+// resumable idempotent units: the supervisor re-execs any worker that dies
+// to a signal and the journal resume path absorbs the loss. Endpoints:
+// /status (fleet + journal + cache view), /results?digest=<16hex> (point
+// lookup via the index), /aggregate?cell=<16hex> (memoized seed-average),
+// /aggregate (full CSV, optionally filtered by the grid coordinates the
+// index records carry: ?scheme=rcast&routing=dsr&mobility.model=rpgm
+// &traffic.pattern=sensing&nodes=60&flows=8&rate_pps=4&pause_s=30
+// &duration_s=900&seed=3), /metrics (chunked live counter stream merged
+// across shards).
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -52,7 +54,6 @@
 #include "serving/result_index.hpp"
 #include "serving/result_service.hpp"
 #include "serving/shard_supervisor.hpp"
-#include "sim/time.hpp"
 #include "stats/live_counters.hpp"
 #include "util/flags.hpp"
 
@@ -61,25 +62,22 @@ namespace {
 using namespace rcast;
 namespace fs = std::filesystem;
 
-volatile std::sig_atomic_t g_stop = 0;
-void on_signal(int) { g_stop = 1; }
+// The signal that asked run/resume/serve to stop; 0 while running. Atomic:
+// the handler may run on an HTTP thread while the main thread polls.
+std::atomic<int> g_stop{0};
+static_assert(std::atomic<int>::is_always_lock_free);  // signal-safe
+void on_signal(int sig) { g_stop = sig; }
 
 void print_usage() {
   std::puts(
-      "rcast_campaignd — campaign-as-a-service daemon (Rcast reproduction)\n"
+      "rcast_campaignd — checkpointed sweep campaigns (Rcast reproduction)\n"
       "\n"
-      "  rcast_campaignd run     MANIFEST --out=DIR   shard + supervise a "
-      "campaign\n"
-      "  rcast_campaignd resume  MANIFEST --out=DIR   continue after any "
-      "interruption\n"
-      "  rcast_campaignd serve   MANIFEST --out=DIR   HTTP serving of an "
-      "existing store\n"
-      "  rcast_campaignd export  MANIFEST --out=DIR   merged aggregate CSV "
-      "(all shards)\n"
-      "  rcast_campaignd status  MANIFEST --out=DIR   per-shard journal "
-      "progress\n"
-      "  rcast_campaignd reindex MANIFEST --out=DIR   rebuild index sidecars "
-      "from JSONL\n"
+      "  rcast_campaignd run     MANIFEST --out=DIR   start a campaign\n"
+      "  rcast_campaignd resume  MANIFEST --out=DIR   finish after a stop\n"
+      "  rcast_campaignd serve   MANIFEST --out=DIR   HTTP over a stored one\n"
+      "  rcast_campaignd export  MANIFEST --out=DIR   merged aggregate CSV\n"
+      "  rcast_campaignd status  MANIFEST --out=DIR   per-shard progress\n"
+      "  rcast_campaignd reindex MANIFEST --out=DIR   rebuild index sidecars\n"
       "\n"
       "  --out=DIR        campaign directory (journal/results/metrics per "
       "shard)\n"
@@ -93,14 +91,67 @@ void print_usage() {
       "  --max-jobs=N     per-worker new-job cutoff (interruption testing)\n"
       "  --max-respawns=N signal deaths tolerated per worker (default: 5)\n"
       "  --csv=FILE       export target           (default: stdout)\n"
-      "  --set KEY=VALUE  override any registered scenario parameter "
-      "(repeatable)\n"
+      "  --set KEY=VALUE  override a registered parameter (repeatable; pass\n"
+      "                   the same --set flags to every subcommand)\n"
+      "  --help-params    list every registered parameter: each is also a\n"
+      "                   manifest key (a list of values adds a sweep axis)\n"
       "  --quiet          suppress worker progress lines\n"
       "\n"
       "HTTP endpoints: /status, /results?digest=<16hex>,\n"
       "/aggregate?cell=<16hex>, /aggregate (CSV), /metrics[?watch=N].\n"
       "Workers are idempotent resumable units: kill -9 any of them (or the\n"
-      "whole daemon) and `resume` — the merged export stays byte-identical.");
+      "whole daemon) and `resume` — the merged export stays byte-identical.\n"
+      "Ctrl-C or SIGTERM stops the daemon and its workers; `resume` goes on.");
+}
+
+// ----------------------------------------------------------------- flags --
+
+/// The numeric flags, parsed and range-checked before anything touches
+/// --out (a sign-wrapped --shards=-1 would otherwise create 2^64 files).
+struct Counts {
+  std::size_t shards = 0;  // 0: export/serve/reindex discover; run uses 1
+  std::size_t shard = 0;
+  std::size_t threads = 0;  // 0 = hardware concurrency
+  std::size_t max_jobs = 0;
+  int max_respawns = 5;
+  std::size_t http_threads = 4;
+  std::uint16_t port = 0;
+};
+
+/// Reads --name into `out` if present. Prints the accepted range and
+/// returns false when the value is not an integer in [lo, hi].
+template <typename T>
+bool read_count(const Flags& flags, const char* name, std::uint64_t lo,
+                std::uint64_t hi, T& out) {
+  if (!flags.has(name)) return true;
+  const std::string text = flags.get_string(name, "");
+  const auto v = Flags::parse_u64(text);
+  if (!v || *v < lo || *v > hi) {
+    std::fprintf(stderr,
+                 "--%s: expected an integer in [%llu, %llu], got '%s'\n",
+                 name, static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi), text.c_str());
+    return false;
+  }
+  out = static_cast<T>(*v);
+  return true;
+}
+
+bool parse_counts(const Flags& flags, Counts& c) {
+  constexpr std::uint64_t kMaxProcs = 1024;
+  const std::string timeout = flags.get_string("timeout-s", "0");
+  if (const auto v = Flags::parse_double(timeout); !v || *v < 0.0) {
+    std::fprintf(stderr, "--timeout-s: expected seconds >= 0, got '%s'\n",
+                 timeout.c_str());
+    return false;
+  }
+  return read_count(flags, "shards", 0, kMaxProcs, c.shards) &&
+         read_count(flags, "shard", 0, kMaxProcs - 1, c.shard) &&
+         read_count(flags, "threads", 0, kMaxProcs, c.threads) &&
+         read_count(flags, "max-jobs", 0, SIZE_MAX, c.max_jobs) &&
+         read_count(flags, "max-respawns", 0, 1000, c.max_respawns) &&
+         read_count(flags, "http-threads", 1, kMaxProcs, c.http_threads) &&
+         read_count(flags, "port", 0, 65535, c.port);
 }
 
 // ---------------------------------------------------------------- layout --
@@ -214,7 +265,7 @@ std::string status_json(ServeContext& ctx) {
   w.key("campaign").value(ctx.campaign_name);
   w.key("jobs").value(static_cast<std::uint64_t>(ctx.job_count));
   w.key("records").value(static_cast<std::uint64_t>(ctx.svc->record_count()));
-  std::size_t done = 0, ok = 0, failed = 0;
+  std::size_t ok = 0, failed = 0;
   w.key("shards").begin_array();
   for (const auto& [k, path] : discover_journals(ctx.out_dir)) {
     std::size_t sok = 0, sfailed = 0;
@@ -224,7 +275,6 @@ std::string status_json(ServeContext& ctx) {
     } catch (const std::exception&) {
       // Worker hasn't written its header yet — report the shard as empty.
     }
-    done += sok + sfailed;
     ok += sok;
     failed += sfailed;
     w.begin_object();
@@ -235,7 +285,7 @@ std::string status_json(ServeContext& ctx) {
     w.end_object();
   }
   w.end_array();
-  w.key("done").value(static_cast<std::uint64_t>(done));
+  w.key("done").value(static_cast<std::uint64_t>(ok + failed));
   w.key("ok").value(static_cast<std::uint64_t>(ok));
   w.key("failed").value(static_cast<std::uint64_t>(failed));
   if (ctx.sup != nullptr) {
@@ -267,7 +317,7 @@ std::string aggregate_row_json(const campaign::AggregateRow& row) {
   campaign::json::Writer w;
   w.begin_object();
   w.key("cell").value(row.cell);
-  w.key("scheme").value(scenario::scheme_name(row.scheme));
+  w.key("scheme").value(scenario::to_string(row.scheme));
   w.key("routing").value(scenario::to_string(row.routing));
   w.key("mobility").value(row.mobility);
   w.key("traffic").value(row.traffic);
@@ -306,45 +356,40 @@ std::optional<std::uint64_t> parse_digest_param(const std::string& hex) {
 /// filter, or an error message naming the offending parameter.
 std::variant<serving::AggregateFilter, std::string> parse_aggregate_filter(
     const std::map<std::string, std::string>& query) {
+  // The index stores each enum axis as its registry ordinal.
+  const auto ordinal = [](const auto& registry, const std::string& name) {
+    return static_cast<std::uint8_t>(registry.index_of(name));
+  };
   serving::AggregateFilter f;
-  for (const auto& [key, value] : query) {
-    if (key == "scheme") {
-      const auto s = scenario::scheme_from_string(value);
-      if (!s) return "unknown scheme: " + value;
-      f.scheme = static_cast<std::uint8_t>(*s);
-    } else if (key == "routing") {
-      const auto r = scenario::routing_from_string(value);
-      if (!r) return "unknown routing: " + value;
-      f.routing = static_cast<std::uint8_t>(*r);
-    } else if (key == "mobility.model") {
-      try {
-        f.mobility = static_cast<std::uint8_t>(
-            scenario::mobility_models().index_of(value));
-      } catch (const scenario::RegistryError& e) {
-        return std::string(e.what());
+  try {
+    for (const auto& [key, value] : query) {
+      if (key == "scheme") {
+        f.scheme = ordinal(scenario::power_policies(), value);
+      } else if (key == "routing") {
+        f.routing = ordinal(scenario::routing_protocols(), value);
+      } else if (key == "mobility.model") {
+        f.mobility = ordinal(scenario::mobility_models(), value);
+      } else if (key == "traffic.pattern") {
+        f.traffic = ordinal(scenario::traffic_patterns(), value);
+      } else if (key == "nodes" || key == "flows" || key == "seed") {
+        const auto v = Flags::parse_u64(value);
+        if (!v) return "malformed " + key + ": " + value;
+        if (key == "nodes") f.nodes = static_cast<std::uint32_t>(*v);
+        else if (key == "flows") f.flows = static_cast<std::uint32_t>(*v);
+        else f.seed = *v;
+      } else if (key == "rate_pps" || key == "pause_s" ||
+                 key == "duration_s") {
+        const auto v = Flags::parse_double(value);
+        if (!v) return "malformed " + key + ": " + value;
+        if (key == "rate_pps") f.rate_pps = *v;
+        else if (key == "pause_s") f.pause_s = *v;
+        else f.duration_s = *v;
+      } else {
+        return "unknown aggregate parameter: " + key;
       }
-    } else if (key == "traffic.pattern") {
-      try {
-        f.traffic = static_cast<std::uint8_t>(
-            scenario::traffic_patterns().index_of(value));
-      } catch (const scenario::RegistryError& e) {
-        return std::string(e.what());
-      }
-    } else if (key == "nodes" || key == "flows" || key == "seed") {
-      const auto v = Flags::parse_u64(value);
-      if (!v) return "malformed " + key + ": " + value;
-      if (key == "nodes") f.nodes = static_cast<std::uint32_t>(*v);
-      else if (key == "flows") f.flows = static_cast<std::uint32_t>(*v);
-      else f.seed = *v;
-    } else if (key == "rate_pps" || key == "pause_s" || key == "duration_s") {
-      const auto v = Flags::parse_double(value);
-      if (!v) return "malformed " + key + ": " + value;
-      if (key == "rate_pps") f.rate_pps = *v;
-      else if (key == "pause_s") f.pause_s = *v;
-      else f.duration_s = *v;
-    } else {
-      return "unknown aggregate parameter: " + key;
     }
+  } catch (const scenario::RegistryError& e) {
+    return std::string(e.what());
   }
   return f;
 }
@@ -446,17 +491,17 @@ serving::HttpServer::Handler make_handler(std::shared_ptr<ServeContext> ctx) {
 
 int cmd_worker(const campaign::Manifest& manifest,
                const scenario::ScenarioConfig& base,
-               const std::string& out_dir, const Flags& flags) {
-  const std::size_t shards =
-      static_cast<std::size_t>(flags.get_int("shards", 1));
-  const std::size_t shard = static_cast<std::size_t>(flags.get_int("shard", 0));
+               const std::string& out_dir, const Flags& flags,
+               const Counts& counts) {
+  const std::size_t shards = std::max<std::size_t>(1, counts.shards);
+  const std::size_t shard = counts.shard;
 
   campaign::RunnerOptions opt;
   opt.journal_path = journal_path(out_dir, shard);
   opt.results_path = results_path(out_dir, shard);
-  opt.threads = static_cast<std::size_t>(flags.get_int("threads", 0));
+  opt.threads = counts.threads;
   opt.job_timeout_s = flags.get_double("timeout-s", 0.0);
-  opt.max_jobs = static_cast<std::size_t>(flags.get_int("max-jobs", 0));
+  opt.max_jobs = counts.max_jobs;
   opt.progress = !flags.get_bool("quiet", false);
   opt.shards = shards;
   opt.shard = shard;
@@ -478,26 +523,9 @@ int cmd_worker(const campaign::Manifest& manifest,
       try {
         if (!index) index = serving::ResultIndex::open(opt.results_path);
         if (extent->offset >= index->indexed_bytes()) {
-          serving::IndexEntry e;
-          e.job = job.index;
-          e.offset = extent->offset;
-          e.length = extent->length;
-          e.cfg_digest = serving::digest_to_u64(job.digest);
-          e.cell_digest =
-              serving::digest_to_u64(campaign::config_cell_digest(job.cfg));
-          e.scheme = static_cast<std::uint8_t>(job.cfg.scheme);
-          e.routing = static_cast<std::uint8_t>(job.cfg.routing);
-          e.mobility = static_cast<std::uint8_t>(
-              scenario::mobility_models().index_of(job.cfg.mobility_model));
-          e.traffic = static_cast<std::uint8_t>(
-              scenario::traffic_patterns().index_of(job.cfg.traffic_pattern));
-          e.nodes = static_cast<std::uint32_t>(job.cfg.num_nodes);
-          e.flows = static_cast<std::uint32_t>(job.cfg.num_flows);
-          e.rate_pps = job.cfg.rate_pps;
-          e.pause_s = sim::to_seconds(job.cfg.pause);
-          e.duration_s = sim::to_seconds(job.cfg.duration);
-          e.seed = job.cfg.seed;
-          index->append(e);
+          index->append(serving::index_entry(
+              job.index, serving::digest_to_u64(job.digest), job.cfg,
+              extent->offset, extent->length));
         }
       } catch (const std::exception& ex) {
         // The sidecar is a cache: serving rebuilds it on demand, so index
@@ -536,11 +564,17 @@ void write_port_file(const Flags& flags, std::uint16_t port) {
 int cmd_run(const campaign::Manifest& manifest,
             const scenario::ScenarioConfig& base,
             const std::string& manifest_path, const std::string& out_dir,
-            const Flags& flags, bool resume) {
-  const std::size_t shards = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, flags.get_int("shards", 1)));
+            const Flags& flags, const Counts& counts, bool resume) {
+  const std::size_t shards = std::max<std::size_t>(1, counts.shards);
   const auto jobs = campaign::expand(manifest, base);  // validate early
 
+  // Shard workers never read journal.log: they would re-run all its jobs.
+  if (fs::exists(out_dir + "/journal.log")) {
+    std::fprintf(stderr, "%s has the single-journal layout: export, serve "
+                 "or status it; run/resume cannot continue it\n",
+                 out_dir.c_str());
+    return 2;
+  }
   if (!resume) {
     for (std::size_t k = 0; k < shards; ++k) {
       if (fs::exists(journal_path(out_dir, k))) {
@@ -564,17 +598,11 @@ int cmd_run(const campaign::Manifest& manifest,
         "--shards=" + std::to_string(shards),
         "--shard=" + std::to_string(k),
     };
-    if (flags.has("threads")) {
-      argv.push_back("--threads=" +
-                     std::to_string(flags.get_int("threads", 0)));
-    }
-    if (flags.has("timeout-s")) {
-      argv.push_back("--timeout-s=" +
-                     std::to_string(flags.get_double("timeout-s", 0.0)));
-    }
-    if (flags.has("max-jobs")) {
-      argv.push_back("--max-jobs=" +
-                     std::to_string(flags.get_int("max-jobs", 0)));
+    for (const char* forwarded : {"threads", "timeout-s", "max-jobs"}) {
+      if (flags.has(forwarded)) {  // validated by parse_counts
+        argv.push_back(std::string("--") + forwarded + "=" +
+                       flags.get_string(forwarded, ""));
+      }
     }
     if (flags.get_bool("quiet", false)) argv.push_back("--quiet");
     for (const std::string& kv : flags.get_all("set")) {
@@ -583,8 +611,7 @@ int cmd_run(const campaign::Manifest& manifest,
     argvs.push_back(std::move(argv));
   }
 
-  serving::ShardSupervisor sup(
-      static_cast<int>(flags.get_int("max-respawns", 5)));
+  serving::ShardSupervisor sup(counts.max_respawns);
   sup.start(argvs);
 
   // Optional serving layer over the store the fleet is writing.
@@ -602,45 +629,45 @@ int cmd_run(const campaign::Manifest& manifest,
     ctx->job_count = jobs.size();
     ctx->shards = shards;
     server = std::make_unique<serving::HttpServer>(
-        static_cast<std::uint16_t>(flags.get_int("port", 0)),
-        make_handler(ctx),
-        static_cast<std::size_t>(flags.get_int("http-threads", 4)));
+        counts.port, make_handler(ctx), counts.http_threads);
     std::fprintf(stderr, "serving on 127.0.0.1:%u\n", server->port());
     write_port_file(flags, server->port());
   }
 
-  const bool all_ok = sup.wait_all();
+  const bool all_ok = sup.wait_all([] { return g_stop != 0; });
+  const int stopped_by = g_stop;
 
-  std::size_t done = 0, ok = 0, failed = 0;
-  for (const auto& [k, path] : discover_journals(out_dir)) {
-    (void)k;
+  std::size_t ok = 0, failed = 0;
+  for (const auto& journal : discover_journals(out_dir)) {
     try {
-      const campaign::JournalView v = campaign::Journal::load(path);
+      const campaign::JournalView v = campaign::Journal::load(journal.second);
       for (const auto& [_, e] : v.entries) (e.ok ? ok : failed) += 1;
     } catch (const std::exception&) {
     }
   }
-  done = ok + failed;
   std::fprintf(stderr,
                "campaign '%s': %zu/%zu jobs done (%zu ok, %zu failed) across "
                "%zu shard%s\n",
-               manifest.name.c_str(), done, jobs.size(), ok, failed, shards,
-               shards == 1 ? "" : "s");
+               manifest.name.c_str(), ok + failed, jobs.size(), ok, failed,
+               shards, shards == 1 ? "" : "s");
 
-  if (server && flags.get_bool("serve-after", false)) {
+  if (stopped_by != 0) {
+    std::fprintf(stderr, "stopped by signal %d — `resume` to finish\n",
+                 stopped_by);
+  } else if (server && flags.get_bool("serve-after", false)) {
     std::fprintf(stderr, "fleet done — still serving (Ctrl-C to stop)\n");
     serve_until_signalled();
   }
   if (server) server->stop();
+  if (stopped_by != 0) return 128 + stopped_by;
   return all_ok && failed == 0 ? 0 : 1;
 }
 
 int cmd_serve(const campaign::Manifest& manifest,
               const scenario::ScenarioConfig& base, const std::string& out_dir,
-              const Flags& flags) {
+              const Flags& flags, const Counts& counts) {
   const auto jobs = campaign::expand(manifest, base);
-  const std::size_t shards =
-      static_cast<std::size_t>(flags.get_int("shards", 0));
+  const std::size_t shards = counts.shards;
   const auto paths = discover_results(out_dir, shards);
   if (paths.empty()) {
     std::fprintf(stderr, "no result files under %s\n", out_dir.c_str());
@@ -655,9 +682,8 @@ int cmd_serve(const campaign::Manifest& manifest,
   ctx->job_count = jobs.size();
   ctx->shards = shards > 0 ? shards : paths.size();
 
-  serving::HttpServer server(
-      static_cast<std::uint16_t>(flags.get_int("port", 0)), make_handler(ctx),
-      static_cast<std::size_t>(flags.get_int("http-threads", 4)));
+  serving::HttpServer server(counts.port, make_handler(ctx),
+                             counts.http_threads);
   std::fprintf(stderr, "serving %zu records on 127.0.0.1:%u\n",
                svc.record_count(), server.port());
   write_port_file(flags, server.port());
@@ -666,9 +692,9 @@ int cmd_serve(const campaign::Manifest& manifest,
   return 0;
 }
 
-int cmd_export(const std::string& out_dir, const Flags& flags) {
-  const auto paths = discover_results(
-      out_dir, static_cast<std::size_t>(flags.get_int("shards", 0)));
+int cmd_export(const std::string& out_dir, const Flags& flags,
+               const Counts& counts) {
+  const auto paths = discover_results(out_dir, counts.shards);
   if (paths.empty()) {
     std::fprintf(stderr, "no result files under %s\n", out_dir.c_str());
     return 2;
@@ -695,24 +721,31 @@ int cmd_status(const campaign::Manifest& manifest,
                const scenario::ScenarioConfig& base,
                const std::string& out_dir) {
   const auto jobs = campaign::expand(manifest, base);
+  const std::string digest = campaign::campaign_digest(manifest.name, jobs);
   const auto journals = discover_journals(out_dir);
   std::size_t ok = 0, failed = 0;
   std::printf("campaign '%s': %zu jobs, %zu shard journal(s)\n",
               manifest.name.c_str(), jobs.size(), journals.size());
   for (const auto& [k, path] : journals) {
-    std::size_t sok = 0, sfailed = 0;
+    campaign::JournalView v;
     try {
-      const campaign::JournalView v = campaign::Journal::load(path);
-      for (const auto& [idx, e] : v.entries) {
-        (e.ok ? sok : sfailed) += 1;
-        if (!e.ok && idx < jobs.size()) {
-          std::printf("  FAILED %s: %s\n", jobs[idx].id.c_str(),
-                      e.error.c_str());
-        }
-      }
-    } catch (const std::exception& e) {
+      v = campaign::Journal::load(path);
+    } catch (const campaign::JournalError& e) {
       std::printf("  shard %zu: %s\n", k, e.what());
       continue;
+    }
+    // Journal indices name the jobs of the manifest and --set flags that
+    // wrote it; with others they would name the wrong jobs (exit 1).
+    if (v.campaign_digest != digest || v.job_count != jobs.size()) {
+      throw campaign::JournalError(path + " belongs to a different campaign "
+                                          "(other manifest or --set flags)");
+    }
+    std::size_t sok = 0, sfailed = 0;
+    for (const auto& [idx, e] : v.entries) {
+      (e.ok ? sok : sfailed) += 1;
+      if (!e.ok) {
+        std::printf("  FAILED %s: %s\n", jobs[idx].id.c_str(), e.error.c_str());
+      }
     }
     ok += sok;
     failed += sfailed;
@@ -724,9 +757,8 @@ int cmd_status(const campaign::Manifest& manifest,
   return 0;
 }
 
-int cmd_reindex(const std::string& out_dir, const Flags& flags) {
-  const auto paths = discover_results(
-      out_dir, static_cast<std::size_t>(flags.get_int("shards", 0)));
+int cmd_reindex(const std::string& out_dir, const Counts& counts) {
+  const auto paths = discover_results(out_dir, counts.shards);
   if (paths.empty()) {
     std::fprintf(stderr, "no result files under %s\n", out_dir.c_str());
     return 2;
@@ -753,15 +785,22 @@ int main(int argc, char** argv) {
     return flags.has("help") ? 0 : 2;
   }
 
-  std::signal(SIGINT, on_signal);
-  std::signal(SIGTERM, on_signal);
-
   const std::string cmd = flags.positional()[0];
   const std::string manifest_path = flags.positional()[1];
   const std::string out_dir = flags.get_string("out", "");
   if (out_dir.empty()) {
     std::fprintf(stderr, "--out=DIR is required\n");
     return 2;
+  }
+  Counts counts;
+  if (!parse_counts(flags, counts)) return 2;
+
+  // run/resume/serve stop gracefully: they own workers or an HTTP server.
+  // Every other subcommand, workers included, keeps the default action and
+  // dies on the spot; the journal makes that safe.
+  if (cmd == "run" || cmd == "resume" || cmd == "serve") {
+    std::signal(SIGINT, on_signal);
+    std::signal(SIGTERM, on_signal);
   }
 
   scenario::ScenarioConfig base;
@@ -772,15 +811,10 @@ int main(int argc, char** argv) {
       return 2;
     }
     const std::string key = kv.substr(0, eq);
-    for (const char* owned :
-         {"scheme", "routing", "power.scheme", "routing.protocol", "rate_pps",
-          "pause_s", "nodes", "seed"}) {
-      if (key == owned) {
-        std::fprintf(stderr,
-                     "--set %s: grid axes come from the manifest, not --set\n",
-                     key.c_str());
-        return 2;
-      }
+    if (const auto owner = campaign::axis_owner(key); !owner.empty()) {
+      std::fprintf(stderr, "--set %s: a grid axis; use the manifest's '%s'\n",
+                   key.c_str(), std::string(owner).c_str());
+      return 2;
     }
     try {
       scenario::set_param(base, key, kv.substr(eq + 1));
@@ -793,17 +827,19 @@ int main(int argc, char** argv) {
   try {
     const campaign::Manifest manifest =
         campaign::parse_manifest_file(manifest_path);
-    if (cmd == "run") {
-      return cmd_run(manifest, base, manifest_path, out_dir, flags, false);
+    if (cmd == "run" || cmd == "resume") {
+      return cmd_run(manifest, base, manifest_path, out_dir, flags, counts,
+                     cmd == "resume");
     }
-    if (cmd == "resume") {
-      return cmd_run(manifest, base, manifest_path, out_dir, flags, true);
+    if (cmd == "worker") {
+      return cmd_worker(manifest, base, out_dir, flags, counts);
     }
-    if (cmd == "worker") return cmd_worker(manifest, base, out_dir, flags);
-    if (cmd == "serve") return cmd_serve(manifest, base, out_dir, flags);
-    if (cmd == "export") return cmd_export(out_dir, flags);
+    if (cmd == "serve") {
+      return cmd_serve(manifest, base, out_dir, flags, counts);
+    }
+    if (cmd == "export") return cmd_export(out_dir, flags, counts);
     if (cmd == "status") return cmd_status(manifest, base, out_dir);
-    if (cmd == "reindex") return cmd_reindex(out_dir, flags);
+    if (cmd == "reindex") return cmd_reindex(out_dir, counts);
     std::fprintf(stderr, "unknown subcommand '%s' (see --help)\n", cmd.c_str());
     return 2;
   } catch (const std::exception& e) {

@@ -1,8 +1,10 @@
 // rcast_sim — command-line front end to the simulator.
 //
-// Runs one scenario (or one per scheme) with every knob exposed as a flag
-// and prints either a human-readable report or a CSV row per run. Optional
-// per-packet event tracing to a file.
+// Runs one scenario (or one per scheme) and prints either a human-readable
+// report or a CSV row per run. Each classic flag (--nodes, --rate, ...) is
+// shorthand for one registered parameter and `--set` reaches all of them,
+// so scenario values are parsed and bounded by the parameter registry.
+// Optional per-packet event tracing to a file.
 //
 // Examples:
 //   rcast_sim --scheme=rcast --nodes=100 --rate=1.0 --seconds=300
@@ -11,6 +13,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "scenario/experiment.hpp"
@@ -23,6 +26,17 @@
 namespace {
 
 using namespace rcast;
+
+// The classic flags and the registered parameter each one sets.
+constexpr std::pair<const char*, const char*> kFlagParams[] = {
+    {"scheme", "power.scheme"},   {"routing", "routing.protocol"},
+    {"nodes", "nodes"},           {"flows", "flows"},
+    {"rate", "rate_pps"},         {"payload", "payload_bytes"},
+    {"seconds", "duration_s"},    {"width", "world.width_m"},
+    {"height", "world.height_m"}, {"pause", "pause_s"},
+    {"speed", "speed_mps"},       {"battery", "battery_j"},
+    {"seed", "seed"},             {"estimator", "rcast.estimator"},
+};
 
 void print_usage() {
   std::puts(
@@ -131,59 +145,46 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // Quick-run defaults: 150 s instead of the paper's 1125 s, then flows =
+  // nodes/5 (at least 1) and pause = seconds/2 unless given.
   scenario::ScenarioConfig cfg;
-  cfg.num_nodes = static_cast<std::size_t>(flags.get_int("nodes", 100));
-  cfg.num_flows = static_cast<std::size_t>(
-      flags.get_int("flows", static_cast<std::int64_t>(cfg.num_nodes / 5)));
-  cfg.rate_pps = flags.get_double("rate", 1.0);
-  cfg.payload_bits = flags.get_int("payload", 64) * 8;
-  cfg.duration = sim::from_seconds(flags.get_double("seconds", 150.0));
-  cfg.world = {flags.get_double("width", 1500.0),
-               flags.get_double("height", 300.0)};
-  cfg.pause = sim::from_seconds(flags.get_double(
-      "pause", sim::to_seconds(cfg.duration) / 2.0));
-  cfg.max_speed_mps = flags.get_double("speed", 20.0);
-  cfg.battery_joules = flags.get_double("battery", 0.0);
-  cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const auto seeds = static_cast<std::size_t>(flags.get_int("seeds", 1));
-
-  const std::string routing = flags.get_string("routing", "dsr");
-  if (auto p = scenario::routing_from_string(routing)) {
-    cfg.routing = *p;
-  } else {
-    std::fprintf(stderr, "unknown --routing=%s\n", routing.c_str());
+  cfg.duration = 150 * sim::kSecond;
+  const auto apply = [&cfg](const std::string& typed, const std::string& key,
+                            const std::string& value) {
+    try {
+      scenario::set_param(cfg, key, value);
+      return true;
+    } catch (const scenario::ParamError& e) {
+      std::fprintf(stderr, "%s: %s\n", typed.c_str(), e.what());
+      return false;
+    }
+  };
+  // --scheme=all belongs to the run loop below, not to power.scheme.
+  const bool all_schemes = flags.get_string("scheme", "") == "all";
+  for (const auto& [flag, param] : kFlagParams) {
+    if (!flags.has(flag) || (all_schemes && std::string(flag) == "scheme")) {
+      continue;
+    }
+    const std::string value = flags.get_string(flag, "");
+    if (!apply("--" + std::string(flag) + "=" + value, param, value)) return 2;
+  }
+  if (!flags.has("flows")) {
+    cfg.num_flows = scenario::default_flows(cfg.num_nodes);
+  }
+  if (!flags.has("pause")) {
+    cfg.pause = sim::from_seconds(sim::to_seconds(cfg.duration) / 2.0);
+  }
+  const std::string seeds_text = flags.get_string("seeds", "1");
+  const auto seeds = Flags::parse_u64(seeds_text);
+  if (!seeds) {
+    std::fprintf(stderr, "--seeds: expected a non-negative integer, got '%s'\n",
+                 seeds_text.c_str());
     return 2;
   }
 
-  const std::string est = flags.get_string("estimator", "neighbors");
-  if (est == "sender-id") {
-    cfg.rcast.estimator = core::PrEstimator::kSenderRecency;
-  } else if (est == "mobility") {
-    cfg.rcast.estimator = core::PrEstimator::kMobility;
-  } else if (est == "battery") {
-    cfg.rcast.estimator = core::PrEstimator::kBattery;
-  } else if (est == "combined") {
-    cfg.rcast.estimator = core::PrEstimator::kCombined;
-  } else if (est != "neighbors") {
-    std::fprintf(stderr, "unknown --estimator=%s\n", est.c_str());
-    return 2;
-  }
-
-  const std::string scheme_arg = flags.get_string("scheme", "rcast");
-  std::vector<scenario::Scheme> schemes;
-  if (scheme_arg == "all") {
-    schemes.assign(scenario::kAllSchemes.begin(), scenario::kAllSchemes.end());
-  } else if (auto s = scenario::scheme_from_string(scheme_arg)) {
-    schemes = {*s};
-  } else {
-    std::fprintf(stderr, "unknown --scheme=%s\n", scheme_arg.c_str());
-    return 2;
-  }
-
-  // Generic overrides, applied on top of the legacy flags above. The seed
-  // stays flag-owned because the run loops below iterate it; the scheme may
-  // come from either --scheme or --set power.scheme, but not both.
-  bool scheme_from_set = false;
+  // Generic overrides, applied on top of the flags above. The seed stays
+  // flag-owned because the run loops below iterate it; the scheme may come
+  // from either --scheme or --set power.scheme, but not both.
   for (const std::string& kv : flags.get_all("set")) {
     const auto eq = kv.find('=');
     if (eq == std::string::npos || eq == 0) {
@@ -195,23 +196,18 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--set seed: use --seed instead\n");
       return 2;
     }
-    if (key == "scheme" || key == "power.scheme") {
-      if (flags.has("scheme")) {
-        std::fprintf(stderr,
-                     "--set %s conflicts with --scheme; pass one of them\n",
-                     key.c_str());
-        return 2;
-      }
-      scheme_from_set = true;
-    }
-    try {
-      scenario::set_param(cfg, key, kv.substr(eq + 1));
-    } catch (const scenario::ParamError& e) {
-      std::fprintf(stderr, "--set %s: %s\n", kv.c_str(), e.what());
+    if (key == "power.scheme" && flags.has("scheme")) {
+      std::fprintf(stderr,
+                   "--set power.scheme conflicts with --scheme; pass one of "
+                   "them\n");
       return 2;
     }
+    if (!apply("--set " + kv, key, kv.substr(eq + 1))) return 2;
   }
-  if (scheme_from_set) schemes = {cfg.scheme};
+  std::vector<scenario::Scheme> schemes = {cfg.scheme};
+  if (all_schemes) {
+    schemes.assign(scenario::kAllSchemes.begin(), scenario::kAllSchemes.end());
+  }
 
   const bool csv = flags.get_bool("csv", false);
   const std::string trace_path = flags.get_string("trace", "");
@@ -221,7 +217,7 @@ int main(int argc, char** argv) {
                  unknown.c_str());
     return 2;
   }
-  if (!trace_path.empty() && (schemes.size() > 1 || seeds > 1)) {
+  if (!trace_path.empty() && (schemes.size() > 1 || *seeds > 1)) {
     std::fprintf(stderr, "--trace requires a single scheme and seed\n");
     return 2;
   }
@@ -230,7 +226,7 @@ int main(int argc, char** argv) {
 
   for (auto scheme : schemes) {
     cfg.scheme = scheme;
-    for (std::size_t k = 0; k < seeds; ++k) {
+    for (std::uint64_t k = 0; k < *seeds; ++k) {
       scenario::ScenarioConfig run_cfg = cfg;
       run_cfg.seed = cfg.seed + k;
 
