@@ -1,7 +1,8 @@
-// Serving-layer benchmarks: point lookups through the index sidecar vs the
-// displaced linear JSONL scan, memoized vs cold cell aggregates, and a
+// Serving-layer benchmarks: point lookups through the in-memory index vs the
+// displaced linear JSONL scan, memoized vs cold cell aggregates, a
 // heavy-traffic HTTP burst (thousands of concurrent /aggregate queries
-// against a >=100k-record store) with p50/p99 latency counters.
+// against a >=100k-record store) with p50/p99 latency counters, and the
+// cost of opening a service on that store.
 //
 // The committed BENCH_serving.json stores the linear-scan numbers as the
 // "baseline" column and the indexed numbers as "after" under the same
@@ -20,6 +21,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
@@ -30,7 +32,6 @@
 #include "campaign/manifest.hpp"
 #include "campaign/result_store.hpp"
 #include "serving/http_server.hpp"
-#include "serving/result_index.hpp"
 #include "serving/result_service.hpp"
 
 namespace {
@@ -91,7 +92,7 @@ Store& store() {
     }
     out.close();
 
-    st.service = new serving::ResultService({st.jsonl});  // builds the index
+    st.service = new serving::ResultService({st.jsonl});  // indexes in memory
     return st;
   }();
   return s;
@@ -160,16 +161,23 @@ void BM_AggregateCellWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_AggregateCellWarm)->Unit(benchmark::kMicrosecond);
 
-/// Cold cell aggregate: a fresh service per query (cache empty), so each
-/// iteration folds the cell's records through RunAverager from disk.
+/// Cold cell aggregate: each iteration folds one cell's records through
+/// RunAverager from disk. A fresh service (cache empty) answers every cell
+/// once before the next one is opened, outside the timed region; opening
+/// per query would make the untimed index builds dominate the wall time.
 void BM_AggregateCellCold(benchmark::State& state) {
   Store& st = store();
-  std::mt19937_64 rng(13);
+  std::unique_ptr<serving::ResultService> fresh;
+  std::size_t next = st.cells.size();
   for (auto _ : state) {
-    state.PauseTiming();
-    serving::ResultService fresh({st.jsonl});  // sidecar reused, cache empty
-    state.ResumeTiming();
-    auto row = fresh.aggregate_cell(st.cells[rng() % st.cells.size()]);
+    if (next == st.cells.size()) {
+      state.PauseTiming();
+      fresh = std::make_unique<serving::ResultService>(
+          std::vector<std::string>{st.jsonl});
+      next = 0;
+      state.ResumeTiming();
+    }
+    auto row = fresh->aggregate_cell(st.cells[next++]);
     benchmark::DoNotOptimize(row);
   }
   state.SetItemsProcessed(state.iterations());
@@ -315,24 +323,24 @@ void BM_HttpAggregateBurst(benchmark::State& state) {
 }
 BENCHMARK(BM_HttpAggregateBurst)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// ---------------------------------------------------------------- reindex --
+// ------------------------------------------------------------------- open --
 
-/// Full sidecar rebuild from the JSONL alone (--reindex): pins the cost of
-/// recovering the index for a 100k-record store.
-void BM_Reindex(benchmark::State& state) {
+/// Opening a service on the 100k-record store: one walk of the JSONL that
+/// parses every line into the in-memory index — the daemon's startup cost.
+void BM_ServiceOpen(benchmark::State& state) {
   Store& st = store();
-  std::size_t entries = 0;
+  std::size_t records = 0;
   for (auto _ : state) {
-    const auto idx = serving::ResultIndex::rebuild(st.jsonl);
-    entries = idx.entries().size();
-    benchmark::DoNotOptimize(idx);
+    serving::ResultService svc({st.jsonl});
+    records = svc.record_count();
+    benchmark::DoNotOptimize(records);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(entries) *
+  state.SetItemsProcessed(static_cast<std::int64_t>(records) *
                           static_cast<std::int64_t>(state.iterations()));
   state.counters["records"] =
-      benchmark::Counter(static_cast<double>(entries));
+      benchmark::Counter(static_cast<double>(records));
 }
-BENCHMARK(BM_Reindex)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServiceOpen)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

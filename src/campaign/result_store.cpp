@@ -327,26 +327,26 @@ JobRecord record_from_json(const json::Value& v) {
   return rec;
 }
 
-// Walks the complete ('\n'-terminated) lines of `path` sequentially, calling
-// fn(offset, line) for each non-blank one. A torn trailing line (no newline,
-// the only state a crash can leave) is skipped, matching load_results.
-void for_each_line(const std::string& path,
-                   const std::function<void(std::uint64_t, const std::string&)>& fn) {
+}  // namespace
+
+std::uint64_t for_each_line(
+    const std::string& path, std::uint64_t start,
+    const std::function<void(std::uint64_t, const std::string&)>& fn) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw ResultStoreError("cannot open results file: " + path);
-  std::uint64_t offset = 0;
+  in.seekg(static_cast<std::streamoff>(start));
+  std::uint64_t offset = start;
   std::string line;
   while (std::getline(in, line)) {
     // getline hitting EOF mid-line means the trailing '\n' is missing.
     if (in.eof()) break;
-    const std::uint64_t start = offset;
+    const std::uint64_t line_start = offset;
     offset += line.size() + 1;
     if (line.empty()) continue;
-    fn(start, line);
+    fn(line_start, line);
   }
+  return offset;
 }
-
-}  // namespace
 
 JobRecord parse_result_line(std::string_view line) {
   return record_from_json(json::parse(line));
@@ -373,7 +373,7 @@ std::size_t scan_result_job(std::string_view line) {
 std::vector<RecordRef> scan_result_files(const std::vector<std::string>& paths) {
   std::map<std::size_t, RecordRef> by_job;  // last record wins
   for (std::size_t fi = 0; fi < paths.size(); ++fi) {
-    for_each_line(paths[fi], [&](std::uint64_t offset, const std::string& line) {
+    for_each_line(paths[fi], 0, [&](std::uint64_t offset, const std::string& line) {
       RecordRef ref;
       ref.job = scan_result_job(line);
       ref.file = fi;
@@ -415,7 +415,7 @@ void for_each_result(const std::vector<std::string>& paths,
 
 std::vector<JobRecord> load_results(const std::string& path) {
   std::map<std::size_t, JobRecord> by_job;  // last record wins
-  for_each_line(path, [&](std::uint64_t, const std::string& line) {
+  for_each_line(path, 0, [&](std::uint64_t, const std::string& line) {
     JobRecord rec = record_from_json(json::parse(line));
     by_job[rec.job] = std::move(rec);
   });

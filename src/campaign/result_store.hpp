@@ -30,8 +30,10 @@ class ResultStoreError : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
-/// Byte extent of one appended JSONL record — the hook the serving index
-/// uses to index records incrementally as they are written.
+/// Byte extent of one appended JSONL record, handed to the runner's
+/// on_commit hook. No reader needs it any more (the serving index walks the
+/// JSONL itself); it stays while the repository benchmark compiles against
+/// the hook's signature.
 struct AppendExtent {
   std::uint64_t offset = 0;  // byte offset of the line start in the file
   std::uint32_t length = 0;  // line length excluding the trailing '\n'
@@ -83,6 +85,15 @@ struct JobRecord {
 /// Parses one JSONL line into a JobRecord (the inverse of record_to_json).
 /// Throws ResultStoreError / json::ParseError on malformed input.
 JobRecord parse_result_line(std::string_view line);
+
+/// Walks the complete ('\n'-terminated) lines of `path` from byte `start` (a
+/// line start), calling fn(offset, line) for each non-blank one. A torn
+/// trailing line (no newline, the only state a crash can leave) is skipped.
+/// Returns the offset just past the last complete line: the next walk's
+/// start. Throws ResultStoreError if the file cannot be opened.
+std::uint64_t for_each_line(
+    const std::string& path, std::uint64_t start,
+    const std::function<void(std::uint64_t, const std::string&)>& fn);
 
 /// Extracts the job index from one JSONL line without a full parse: records
 /// are written with the fixed prefix `{"v":2,"job":N,`, so a cheap scan

@@ -7,7 +7,8 @@
 // Registries are function-local statics populated with the built-ins on
 // first access (thread-safe magic statics; read-only afterwards, so
 // concurrent Network builds on worker threads need no locking). Entry order
-// is stable and defines the serving-layer ordinal of each name.
+// is stable and defines the ordinal of each name that the /aggregate filter
+// matches.
 #pragma once
 
 #include <deque>
@@ -137,7 +138,8 @@ class PolicyRegistry {
   }
 
   /// Registration-order position of `name` — the stable ordinal the serving
-  /// index stores for string axes. Throws like resolve.
+  /// index records for each axis and the /aggregate filter compares. Throws
+  /// like resolve.
   std::size_t index_of(std::string_view name) const {
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       if (detail::iequals(name, entries_[i].name)) return i;
@@ -164,7 +166,7 @@ class PolicyRegistry {
 /// The four registries, built-ins registered on first access. Registration
 /// order matches the Scheme / RoutingProtocol enum values — entry i is named
 /// to_string(static_cast<Scheme>(i)) — so enum casts and index_of agree for
-/// the built-ins (the serving index's one-byte ordinals rely on this).
+/// the built-ins (the /aggregate scheme and routing filters rely on this).
 PolicyRegistry<PowerPolicyEntry>& power_policies();
 PolicyRegistry<RoutingEntry>& routing_protocols();
 PolicyRegistry<MobilityEntry>& mobility_models();

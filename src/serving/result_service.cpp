@@ -1,44 +1,82 @@
 #include "serving/result_service.hpp"
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <unordered_set>
 
+#include "scenario/policy_registry.hpp"
+
 namespace rcast::serving {
 
-ResultService::ResultService(std::vector<std::string> paths)
-    : paths_(std::move(paths)) {
-  indexes_.reserve(paths_.size());
-  for (std::size_t fi = 0; fi < paths_.size(); ++fi) {
-    indexes_.push_back(ResultIndex::open(paths_[fi]));
-    absorb_new_entries(fi, indexes_[fi].entries(), 0);
+std::uint64_t digest_to_u64(std::string_view hex) {
+  if (hex.size() != 16) throw IndexError("digest must be 16 hex digits");
+  std::uint64_t v = 0;
+  for (const char c : hex) {
+    v <<= 4;
+    if (c >= '0' && c <= '9') v |= static_cast<std::uint64_t>(c - '0');
+    else if (c >= 'a' && c <= 'f') v |= static_cast<std::uint64_t>(c - 'a' + 10);
+    else if (c >= 'A' && c <= 'F') v |= static_cast<std::uint64_t>(c - 'A' + 10);
+    else throw IndexError("digest must be 16 hex digits");
   }
+  return v;
 }
 
-void ResultService::absorb_new_entries(std::size_t file,
-                                       const std::vector<IndexEntry>& entries,
-                                       std::size_t first_new) {
-  for (std::size_t i = first_new; i < entries.size(); ++i) {
-    const IndexEntry& e = entries[i];
-    winner_by_job_[static_cast<std::size_t>(e.job)] = Winner{file, e};
-    job_by_cfg_[e.cfg_digest] = static_cast<std::size_t>(e.job);
-    jobs_by_cell_[e.cell_digest].push_back(static_cast<std::size_t>(e.job));
+ResultService::ResultService(std::vector<std::string> paths)
+    : paths_(std::move(paths)), consumed_(paths_.size(), 0) {
+  for (std::size_t fi = 0; fi < paths_.size(); ++fi) index_new_lines(fi);
+}
+
+std::size_t ResultService::index_new_lines(std::size_t file) {
+  // A shard file that does not exist yet reads as empty: `run --port` opens
+  // the service before its workers create their files.
+  std::error_code ec;
+  if (!std::filesystem::exists(paths_[file], ec)) return 0;
+  std::size_t added = 0;
+  const auto index_line = [&](std::uint64_t offset, const std::string& line) {
+    const campaign::JobRecord rec = campaign::parse_result_line(line);
+    const scenario::ScenarioConfig& cfg = rec.cfg;
+    IndexEntry e;
+    e.file = file;
+    e.offset = offset;
+    e.length = line.size();
+    e.cfg_digest = digest_to_u64(rec.digest);
+    e.cell_digest = digest_to_u64(campaign::config_cell_digest(cfg));
+    e.scheme = static_cast<std::size_t>(cfg.scheme);
+    e.routing = static_cast<std::size_t>(cfg.routing);
+    e.mobility = scenario::mobility_models().index_of(cfg.mobility_model);
+    e.traffic = scenario::traffic_patterns().index_of(cfg.traffic_pattern);
+    e.nodes = cfg.num_nodes;
+    e.flows = cfg.num_flows;
+    e.rate_pps = cfg.rate_pps;
+    e.pause_s = sim::to_seconds(cfg.pause);
+    e.duration_s = sim::to_seconds(cfg.duration);
+    e.seed = cfg.seed;
+
+    winner_by_job_[rec.job] = e;  // later records win, like the loader
+    job_by_cfg_[e.cfg_digest] = rec.job;
+    jobs_by_cell_[e.cell_digest].push_back(rec.job);
     // Precise invalidation: only the cell that gained a record goes cold.
     if (cache_.erase(e.cell_digest) > 0) ++stats_.invalidations;
-  }
+    // Advance per line, so a malformed line is retried, not skipped.
+    consumed_[file] = offset + line.size() + 1;
+    ++added;
+  };
+  consumed_[file] =
+      campaign::for_each_line(paths_[file], consumed_[file], index_line);
+  return added;
 }
 
-std::string ResultService::read_line(std::size_t file, std::uint64_t offset,
-                                     std::uint32_t length) {
-  std::ifstream in(paths_[file], std::ios::binary);
+std::string ResultService::read_line(const IndexEntry& e) {
+  std::ifstream in(paths_[e.file], std::ios::binary);
   if (!in) {
-    throw IndexError("cannot open results file: " + paths_[file]);
+    throw IndexError("cannot open results file: " + paths_[e.file]);
   }
-  in.seekg(static_cast<std::streamoff>(offset));
-  std::string buf(length, '\0');
-  if (!in.read(buf.data(), static_cast<std::streamsize>(length))) {
-    throw IndexError(paths_[file] + ": short read at offset " +
-                     std::to_string(offset));
+  in.seekg(static_cast<std::streamoff>(e.offset));
+  std::string buf(e.length, '\0');
+  if (!in.read(buf.data(), static_cast<std::streamsize>(e.length))) {
+    throw IndexError(paths_[e.file] + ": short read at offset " +
+                     std::to_string(e.offset));
   }
   return buf;
 }
@@ -48,50 +86,25 @@ std::optional<std::string> ResultService::result_json(
   std::lock_guard<std::mutex> lock(mu_);
   const auto jit = job_by_cfg_.find(cfg_digest);
   if (jit == job_by_cfg_.end()) return std::nullopt;
-  const auto wit = winner_by_job_.find(jit->second);
-  if (wit == winner_by_job_.end()) return std::nullopt;
-  const Winner& w = wit->second;
-  return read_line(w.file, w.entry.offset, w.entry.length);
+  return read_line(winner_by_job_.at(jit->second));
 }
 
-campaign::AggregateRow ResultService::fold_cell(std::uint64_t cell_digest) {
+std::optional<campaign::AggregateRow> ResultService::fold_cell(
+    std::uint64_t cell_digest, std::optional<std::uint64_t> seed) {
   std::vector<std::size_t>& jobs = jobs_by_cell_[cell_digest];
   std::sort(jobs.begin(), jobs.end());
   jobs.erase(std::unique(jobs.begin(), jobs.end()), jobs.end());
 
   campaign::AggregateAccumulator acc;
   for (const std::size_t job : jobs) {
-    const Winner& w = winner_by_job_.at(job);
+    const IndexEntry& w = winner_by_job_.at(job);
     // A superseded record can leave a stale membership if the job's winner
     // moved cells (only possible with hand-mixed stores); skip it.
-    if (w.entry.cell_digest != cell_digest) continue;
-    acc.add(campaign::parse_result_line(
-        read_line(w.file, w.entry.offset, w.entry.length)));
+    if (w.cell_digest != cell_digest || (seed && *seed != w.seed)) continue;
+    acc.add(campaign::parse_result_line(read_line(w)));
   }
-  if (acc.records() == 0) {
-    throw IndexError("cell has no live records");
-  }
+  if (acc.records() == 0) return std::nullopt;
   return acc.rows().front();
-}
-
-campaign::AggregateRow ResultService::fold_cell_subset(
-    std::uint64_t cell_digest, const AggregateFilter& filter, bool& any) {
-  std::vector<std::size_t>& jobs = jobs_by_cell_[cell_digest];
-  std::sort(jobs.begin(), jobs.end());
-  jobs.erase(std::unique(jobs.begin(), jobs.end()), jobs.end());
-
-  campaign::AggregateAccumulator acc;
-  for (const std::size_t job : jobs) {
-    const Winner& w = winner_by_job_.at(job);
-    if (w.entry.cell_digest != cell_digest ||
-        (filter.seed && *filter.seed != w.entry.seed)) {
-      continue;
-    }
-    acc.add(campaign::parse_result_line(
-        read_line(w.file, w.entry.offset, w.entry.length)));
-  }
-  any = acc.records() != 0;
-  return any ? acc.rows().front() : campaign::AggregateRow{};
 }
 
 std::optional<campaign::AggregateRow> ResultService::aggregate_cell(
@@ -105,8 +118,8 @@ std::optional<campaign::AggregateRow> ResultService::aggregate_cell(
   const auto jit = jobs_by_cell_.find(cell_digest);
   if (jit == jobs_by_cell_.end() || jit->second.empty()) return std::nullopt;
   ++stats_.misses;
-  campaign::AggregateRow row = fold_cell(cell_digest);
-  cache_.emplace(cell_digest, row);
+  auto row = fold_cell(cell_digest);
+  if (row) cache_.emplace(cell_digest, *row);
   return row;
 }
 
@@ -127,15 +140,12 @@ std::string ResultService::aggregate_csv(const AggregateFilter& filter) {
   std::unordered_set<std::uint64_t> seen_cells;
   std::vector<campaign::AggregateRow> rows;
   for (const std::size_t job : jobs) {
-    const Winner& w = winner_by_job_.at(job);
-    const std::uint64_t cell = w.entry.cell_digest;
+    const IndexEntry& w = winner_by_job_.at(job);
+    const std::uint64_t cell = w.cell_digest;
     if (!seen_cells.insert(cell).second) continue;
-    // The seed varies within a cell: fold_cell_subset checks it per record.
-    if (!filter.matches_cell(w.entry)) continue;
+    if (!filter.matches_cell(w)) continue;
     if (filter.seed) {
-      bool any = false;
-      campaign::AggregateRow row = fold_cell_subset(cell, filter, any);
-      if (any) rows.push_back(std::move(row));
+      if (auto row = fold_cell(cell, filter.seed)) rows.push_back(*row);
       continue;
     }
     const auto cit = cache_.find(cell);
@@ -144,7 +154,8 @@ std::string ResultService::aggregate_csv(const AggregateFilter& filter) {
       rows.push_back(cit->second);
     } else {
       ++stats_.misses;
-      campaign::AggregateRow row = fold_cell(cell);
+      // The winner w belongs to this cell, so the fold has a record.
+      campaign::AggregateRow row = *fold_cell(cell);
       cache_.emplace(cell, row);
       rows.push_back(std::move(row));
     }
@@ -155,10 +166,8 @@ std::string ResultService::aggregate_csv(const AggregateFilter& filter) {
 std::size_t ResultService::refresh() {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t added = 0;
-  for (std::size_t fi = 0; fi < indexes_.size(); ++fi) {
-    const std::size_t before = indexes_[fi].entries().size();
-    added += indexes_[fi].refresh();
-    absorb_new_entries(fi, indexes_[fi].entries(), before);
+  for (std::size_t fi = 0; fi < paths_.size(); ++fi) {
+    added += index_new_lines(fi);
   }
   return added;
 }

@@ -1,6 +1,14 @@
-// Read path of the serving daemon: a thread-safe view over one or more
-// (shard) JSONL result files, each fronted by a ResultIndex sidecar, plus a
-// digest-keyed cache of seed-averaged aggregates.
+// Read path of the serving daemon: a thread-safe, in-memory index over one
+// or more (shard) JSONL result files, plus a digest-keyed cache of
+// seed-averaged aggregates.
+//
+// The index lives only in memory. Opening the service walks every file with
+// the store's line walker (campaign::for_each_line, so export and serving
+// share one torn-tail rule), parses each complete line once, and records its
+// extent, both digests and its grid coordinates; point and cell lookups are
+// then a hash probe plus one read. refresh() walks on from each file's last
+// consumed offset, so indexing parses every line once. A file that does not
+// exist yet reads as empty until it appears. The service never writes.
 //
 // Lookup semantics mirror the campaign loader exactly: when the same job
 // index appears in several files (or several times in one file — a torn
@@ -10,22 +18,52 @@
 // to campaign::export_aggregate_csv (`rcast_campaignd export`) over the
 // merged store.
 //
-// Cache invalidation: refresh() re-scans the files for appended records
-// (the daemon calls it when it observes journal growth) and drops exactly
-// the cache entries whose cell gained records; untouched cells stay warm.
+// Cache invalidation: refresh() drops exactly the cache entries whose cell
+// gained records; untouched cells stay warm.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "campaign/result_store.hpp"
-#include "serving/result_index.hpp"
 
 namespace rcast::serving {
+
+class IndexError : public std::runtime_error {
+ public:
+  explicit IndexError(const std::string& what) : std::runtime_error(what) {}
+};
+
+/// Parses a 16-hex-digit digest rendering back to its integer value.
+std::uint64_t digest_to_u64(std::string_view hex);
+
+/// One indexed JSONL record. Numeric digests are the FNV-1a values whose
+/// `%016llx` renderings appear in the JSONL ("cfg_digest", cell). The enum
+/// axes are registry ordinals (policy_registry.hpp); every other coordinate
+/// keeps the config's own type.
+struct IndexEntry {
+  std::size_t file = 0;          // index into the service's paths
+  std::uint64_t offset = 0;      // line start in the JSONL
+  std::size_t length = 0;        // line length excluding '\n'
+  std::uint64_t cfg_digest = 0;  // seed included (cfg/v2)
+  std::uint64_t cell_digest = 0; // seed excluded (cell/v2)
+  std::size_t scheme = 0;        // power_policies() ordinal
+  std::size_t routing = 0;       // routing_protocols() ordinal
+  std::size_t mobility = 0;      // mobility_models() ordinal
+  std::size_t traffic = 0;       // traffic_patterns() ordinal
+  std::size_t nodes = 0;
+  std::size_t flows = 0;
+  double rate_pps = 0.0;
+  double pause_s = 0.0;
+  double duration_s = 0.0;
+  std::uint64_t seed = 0;
+};
 
 /// Aggregate-cache observability for /status.
 struct CacheStats {
@@ -34,28 +72,23 @@ struct CacheStats {
   std::uint64_t invalidations = 0;
 };
 
-/// Conjunctive filter over the grid coordinates the 80-byte index records
-/// carry. Unset fields match everything; doubles compare exactly (the
-/// values come from the manifest, not from arithmetic). A seed constraint
-/// selects individual records *within* cells, so filtered aggregates with a
-/// seed bypass the cell cache; all other fields are cell-constant and keep
-/// cached rows usable.
+/// Conjunctive filter over the grid coordinates of the index entries. Unset
+/// fields match everything; doubles compare exactly (the values come from
+/// the manifest, not from arithmetic). A seed constraint selects individual
+/// records *within* cells, so filtered aggregates with a seed bypass the
+/// cell cache; all other fields are cell-constant and keep cached rows
+/// usable.
 struct AggregateFilter {
-  std::optional<std::uint8_t> scheme;
-  std::optional<std::uint8_t> routing;
-  std::optional<std::uint8_t> mobility;  // mobility_models() ordinal
-  std::optional<std::uint8_t> traffic;   // traffic_patterns() ordinal
-  std::optional<std::uint32_t> nodes;
-  std::optional<std::uint32_t> flows;
+  std::optional<std::size_t> scheme;
+  std::optional<std::size_t> routing;
+  std::optional<std::size_t> mobility;
+  std::optional<std::size_t> traffic;
+  std::optional<std::size_t> nodes;
+  std::optional<std::size_t> flows;
   std::optional<double> rate_pps;
   std::optional<double> pause_s;
   std::optional<double> duration_s;
   std::optional<std::uint64_t> seed;
-
-  bool empty() const {
-    return !scheme && !routing && !mobility && !traffic && !nodes && !flows &&
-           !rate_pps && !pause_s && !duration_s && !seed;
-  }
 
   /// Every field but the seed: the part of the filter that is constant
   /// across a cell's records (the seed is checked per record).
@@ -73,8 +106,8 @@ struct AggregateFilter {
 
 class ResultService {
  public:
-  /// Opens (building/extending sidecars as needed) every file in `paths`.
-  /// Later files win job-index collisions, so pass shards in shard order.
+  /// Indexes every complete line of every file in `paths`. Later files win
+  /// job-index collisions, so pass shards in shard order.
   explicit ResultService(std::vector<std::string> paths);
 
   /// The winning record with this cfg/v2 digest, as its raw JSONL line
@@ -94,8 +127,9 @@ class ResultService {
   /// subset of records.
   std::string aggregate_csv(const AggregateFilter& filter = {});
 
-  /// Re-scans every file for appended records and invalidates the cache
-  /// entries of cells that grew. Returns the number of new records seen.
+  /// Indexes the complete lines appended to every file since the last walk
+  /// and invalidates the cache entries of cells that grew. Returns the
+  /// number of new records seen.
   std::size_t refresh();
 
   /// Winning records (distinct job indices) across all files — superseded
@@ -105,29 +139,19 @@ class ResultService {
   CacheStats cache_stats() const;
 
  private:
-  /// The last-scanned record for one job index: which file it lives in plus
-  /// its full index entry (extent, digests, and the grid coordinates the
-  /// aggregate filter matches against).
-  struct Winner {
-    std::size_t file = 0;
-    IndexEntry entry;
-  };
-
   // All private methods assume mu_ is held.
-  void absorb_new_entries(std::size_t file,
-                          const std::vector<IndexEntry>& entries,
-                          std::size_t first_new);
-  std::string read_line(std::size_t file, std::uint64_t offset,
-                        std::uint32_t length);
-  campaign::AggregateRow fold_cell(std::uint64_t cell_digest);
-  campaign::AggregateRow fold_cell_subset(std::uint64_t cell_digest,
-                                          const AggregateFilter& filter,
-                                          bool& any);
+  std::size_t index_new_lines(std::size_t file);
+  std::string read_line(const IndexEntry& e);
+  /// Folds the cell's winning records (only those of `seed`, if set) in
+  /// job-index order; nullopt when none qualifies.
+  std::optional<campaign::AggregateRow> fold_cell(
+      std::uint64_t cell_digest, std::optional<std::uint64_t> seed = {});
 
   mutable std::mutex mu_;
   std::vector<std::string> paths_;
-  std::vector<ResultIndex> indexes_;
-  std::unordered_map<std::size_t, Winner> winner_by_job_;
+  std::vector<std::uint64_t> consumed_;  // per file: bytes walked so far
+  // The last-scanned record of each job index.
+  std::unordered_map<std::size_t, IndexEntry> winner_by_job_;
   std::unordered_map<std::uint64_t, std::size_t> job_by_cfg_;  // digest -> job
   // Job indices per cell; kept sorted lazily at fold time.
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> jobs_by_cell_;

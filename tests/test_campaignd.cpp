@@ -1,9 +1,9 @@
 // End-to-end tests of the rcast_campaignd binary: sharded runs whose merged
 // export is byte-identical to an in-process single-journal run, resume after
 // interruption, after kill -9 and after SIGINT/SIGTERM, rejection of
-// malformed counts, and the reindex subcommand's byte-identical sidecar
-// rebuild. These drive the real executable (path injected by CMake) over
-// tiny manifests.
+// malformed counts, read-only export/status/serve, and prompt shutdown of
+// /metrics streams. These drive the real executable (path injected by CMake)
+// over tiny manifests; the HTTP checks use curl.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -18,6 +18,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -168,6 +169,48 @@ int wait_for_exit(pid_t pid, std::chrono::milliseconds limit) {
   }
 }
 
+/// Every file under `dir` (relative name -> bytes).
+std::map<std::string, std::string> snapshot_tree(const std::string& dir) {
+  std::map<std::string, std::string> out;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    out[fs::relative(entry.path(), dir).string()] =
+        entry.is_regular_file() ? read_file(entry.path().string()) : "<dir>";
+  }
+  return out;
+}
+
+/// Starts `serve` on an ephemeral port and returns (pid, port); port 0 if
+/// the daemon never wrote its port file (the daemon is then killed).
+std::pair<pid_t, int> spawn_serve(const TempDir& dir,
+                                  const std::string& manifest,
+                                  const std::string& out_dir) {
+  const std::string port_file = dir.file("port.txt");
+  fs::remove(port_file);
+  const pid_t pid = spawn_daemon({"serve", manifest, "--out=" + out_dir,
+                                  "--port=0", "--port-file=" + port_file});
+  for (int i = 0; i < 500; ++i) {  // <= 10 s
+    std::ifstream in(port_file);
+    if (int port = 0; in >> port && port > 0) return {pid, port};
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  ::kill(-pid, SIGKILL);
+  wait_for_exit(pid, std::chrono::seconds(10));
+  return {pid, 0};
+}
+
+/// GETs `target` from the daemon on `port` with curl: (HTTP status, body).
+std::pair<int, std::string> http_get(const TempDir& dir, int port,
+                                     const std::string& target) {
+  const std::string body = dir.file("body.txt");
+  const std::string code = dir.file("code.txt");
+  run("curl -s -o " + body + " -w '%{http_code}' 'http://127.0.0.1:" +
+      std::to_string(port) + target + "' > " + code);
+  std::ifstream in(code);
+  int status = 0;
+  in >> status;
+  return {status, read_file(body)};
+}
+
 TEST(Campaignd, ShardedExportByteIdenticalToSingleProcess) {
   TempDir dir;
   const std::string manifest = write_manifest(dir);
@@ -194,10 +237,9 @@ TEST(Campaignd, ShardedExportByteIdenticalToSingleProcess) {
             0);
   EXPECT_EQ(read_file(csv), reference);
 
-  // Every shard built its index sidecar incrementally during the run.
-  for (int k = 0; k < 3; ++k) {
-    EXPECT_TRUE(fs::exists(out_dir + "/results.shard" + std::to_string(k) +
-                           ".jsonl.idx"));
+  // The store is the JSONL alone: no index file beside any shard.
+  for (const auto& entry : fs::directory_iterator(out_dir)) {
+    EXPECT_NE(entry.path().extension(), ".idx") << entry.path();
   }
 }
 
@@ -303,7 +345,7 @@ TEST(Campaignd, MalformedCountsExitBeforeTouchingOut) {
        {"--shards=-1", "--shards=2x", "--shard=-1", "--threads=-1",
         "--max-jobs=1.5", "--max-respawns=-1", "--http-threads=0",
         "--port=65536", "--timeout-s=-1"}) {
-    for (const char* cmd : {"run", "export", "reindex"}) {
+    for (const char* cmd : {"run", "export", "serve", "status"}) {
       // timeout: a regression must fail the test, not hang it.
       EXPECT_EQ(run("timeout -k 5 60 " + kDaemon + " " + cmd + " " +
                     manifest + " --out=" + out_dir + " " + bad +
@@ -352,37 +394,6 @@ TEST(Campaignd, KilledWorkerResumesByteIdentical) {
   EXPECT_EQ(read_file(csv), reference);
 }
 
-TEST(Campaignd, ReindexRebuildsByteIdenticalSidecar) {
-  TempDir dir;
-  const std::string manifest = write_manifest(dir);
-  const std::string out_dir = dir.file("reindex");
-  ASSERT_EQ(run(kDaemon + " run " + manifest + " --out=" + out_dir +
-                " --shards=2 --threads=1 --quiet 2>/dev/null"),
-            0);
-
-  const std::string idx0 = out_dir + "/results.shard0.jsonl.idx";
-  ASSERT_TRUE(fs::exists(idx0));
-  const std::string original = read_file(idx0);
-  ASSERT_FALSE(original.empty());
-
-  // Deleted sidecar.
-  fs::remove(idx0);
-  ASSERT_EQ(run(kDaemon + " reindex " + manifest + " --out=" + out_dir +
-                " >/dev/null 2>&1"),
-            0);
-  EXPECT_EQ(read_file(idx0), original);
-
-  // Corrupted sidecar.
-  {
-    std::ofstream out(idx0, std::ios::binary | std::ios::trunc);
-    out << "garbage that is definitely not an index";
-  }
-  ASSERT_EQ(run(kDaemon + " reindex " + manifest + " --out=" + out_dir +
-                " >/dev/null 2>&1"),
-            0);
-  EXPECT_EQ(read_file(idx0), original);
-}
-
 TEST(Campaignd, StatusReportsShardProgress) {
   TempDir dir;
   const std::string manifest = write_manifest(dir);
@@ -411,6 +422,87 @@ TEST(Campaignd, StatusReportsShardProgress) {
   EXPECT_NE(read_file(err_file).find("belongs to a different campaign"),
             std::string::npos)
       << read_file(err_file);
+}
+
+// export, status and serve (with a query) leave --out byte-for-byte as they
+// found it: no index files, no empty shard files. An export naming a shard
+// that does not exist fails and names the file.
+TEST(Campaignd, ExportStatusServeWriteNothingUnderOut) {
+  TempDir dir;
+  const std::string manifest = write_manifest(dir);
+  const std::string out_dir = dir.file("store");
+  ASSERT_EQ(run(kDaemon + " run " + manifest + " --out=" + out_dir +
+                " --shards=2 --threads=1 --quiet 2>/dev/null"),
+            0);
+  const auto before = snapshot_tree(out_dir);
+
+  const std::string csv = dir.file("export.csv");
+  ASSERT_EQ(run(kDaemon + " export " + manifest + " --out=" + out_dir +
+                " --csv=" + csv + " 2>/dev/null"),
+            0);
+  ASSERT_EQ(run(kDaemon + " status " + manifest + " --out=" + out_dir +
+                " >/dev/null 2>&1"),
+            0);
+  const std::string err = dir.file("export.err");
+  EXPECT_EQ(run(kDaemon + " export " + manifest + " --out=" + out_dir +
+                " --shards=4 >/dev/null 2>" + err),
+            1);
+  EXPECT_NE(read_file(err).find("results.shard2.jsonl"), std::string::npos)
+      << read_file(err);
+
+  const auto [pid, port] = spawn_serve(dir, manifest, out_dir);
+  ASSERT_GT(port, 0) << "serve never bound its port";
+  const auto [status, body] = http_get(dir, port, "/aggregate");
+  EXPECT_EQ(status, 200);
+  EXPECT_EQ(body, read_file(csv));
+  ::kill(pid, SIGTERM);
+  EXPECT_NE(wait_for_exit(pid, std::chrono::seconds(10)), -1);
+
+  EXPECT_EQ(snapshot_tree(out_dir), before);
+  // The retired index subcommand is an unknown one now.
+  EXPECT_EQ(run(kDaemon + " reindex " + manifest + " --out=" + out_dir +
+                " 2>/dev/null"),
+            2);
+}
+
+// /metrics validates its stream parameters, and a long-interval stream does
+// not hold up a SIGTERM'd serve: the stream sleeps in short slices that
+// check the stop flag.
+TEST(Campaignd, MetricsStreamStopsPromptlyOnSigterm) {
+  TempDir dir;
+  const std::string manifest = write_manifest(dir);
+  const std::string out_dir = dir.file("store");
+  ASSERT_EQ(run(kDaemon + " run " + manifest + " --out=" + out_dir +
+                " --shards=1 --threads=1 --quiet 2>/dev/null"),
+            0);
+  const auto [pid, port] = spawn_serve(dir, manifest, out_dir);
+  ASSERT_GT(port, 0) << "serve never bound its port";
+
+  EXPECT_EQ(http_get(dir, port, "/metrics?watch=abc").first, 400);
+  EXPECT_EQ(http_get(dir, port, "/metrics?interval-ms=-5").first, 400);
+  EXPECT_EQ(http_get(dir, port, "/metrics?interval-ms=86400001").first, 400);
+  EXPECT_EQ(http_get(dir, port, "/metrics?watch=1&interval-ms=1").first, 200);
+
+  // Open a two-chunk stream 20 s apart; once its first chunk has arrived,
+  // the stream is asleep inside its interval.
+  const std::string stream = dir.file("stream.txt");
+  run("curl -sN 'http://127.0.0.1:" + std::to_string(port) +
+      "/metrics?watch=2&interval-ms=20000' > " + stream + " 2>/dev/null &");
+  for (int i = 0; i < 500 && read_file(stream).empty(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  ASSERT_FALSE(read_file(stream).empty()) << "stream never started";
+
+  ASSERT_EQ(::kill(pid, SIGTERM), 0);
+  const auto t0 = std::chrono::steady_clock::now();
+  const int status = wait_for_exit(pid, std::chrono::seconds(10));
+  if (status == -1) {
+    ::kill(-pid, SIGKILL);
+    wait_for_exit(pid, std::chrono::seconds(10));
+    FAIL() << "serve still running 10 s after SIGTERM";
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
+  EXPECT_TRUE(WIFEXITED(status));
 }
 
 }  // namespace

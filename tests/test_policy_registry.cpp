@@ -58,8 +58,7 @@ TEST(PolicyRegistry, BuiltInsRoundTrip) {
   for (std::size_t i = 0; i < power_policies().size(); ++i) {
     const PowerPolicyEntry& e = power_policies().at(i);
     // Registration order matches the Scheme enum, so ordinal casts and
-    // string lookups agree (the serving index's one-byte ordinals depend on
-    // this).
+    // string lookups agree (the /aggregate scheme filter depends on this).
     EXPECT_EQ(e.name, to_string(static_cast<Scheme>(i)));
     EXPECT_EQ(power_policies().index_of(e.name), i);
     EXPECT_EQ(power_policies().find(e.name), &e);

@@ -1,7 +1,8 @@
-// Serving layer: index sidecar build/adopt/rebuild byte-identity, the
-// digest-keyed aggregate cache and its invalidation, streaming export
-// equivalence, journal fsync batching, JSON parser edge cases, the HTTP
-// server, the shard supervisor's respawn policy, and metrics snapshot I/O.
+// Serving layer: the in-memory result index (point and cell lookups, torn
+// tails, late shard files), the digest-keyed aggregate cache and its
+// invalidation, streaming export equivalence, journal fsync batching, JSON
+// parser edge cases, the HTTP server, the shard supervisor's respawn policy,
+// and metrics snapshot I/O.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -17,7 +18,6 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -30,18 +30,14 @@
 #include "scenario/params.hpp"
 #include "serving/http_server.hpp"
 #include "serving/metrics_io.hpp"
-#include "serving/result_index.hpp"
 #include "serving/result_service.hpp"
 #include "serving/shard_supervisor.hpp"
-#include "sim/time.hpp"
 
 namespace rcast {
 namespace {
 
 namespace fs = std::filesystem;
 using campaign::Job;
-using serving::IndexEntry;
-using serving::ResultIndex;
 
 class TempDir {
  public:
@@ -69,11 +65,6 @@ std::string read_file(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << content;
 }
 
 // Synthetic campaign: expanded jobs with real digests, but results made up
@@ -115,7 +106,7 @@ void write_records(const std::string& path, const std::vector<Job>& jobs,
 
 // ---------------------------------------------------------------- index --
 
-TEST(ResultIndex, DigestToU64) {
+TEST(ResultService, DigestToU64) {
   EXPECT_EQ(serving::digest_to_u64("0000000000000000"), 0u);
   EXPECT_EQ(serving::digest_to_u64("00000000000000ff"), 0xffu);
   EXPECT_EQ(serving::digest_to_u64("ffffffffffffffff"), ~0ull);
@@ -126,169 +117,102 @@ TEST(ResultIndex, DigestToU64) {
                serving::IndexError);
 }
 
-TEST(ResultIndex, EncodeDecodeRoundTrip) {
-  IndexEntry e;
-  e.job = 12345;
-  e.offset = 0xdeadbeefcafe;
-  e.cfg_digest = 0x0123456789abcdefull;
-  e.cell_digest = 0xfedcba9876543210ull;
-  e.length = 4321;
-  e.scheme = 4;
-  e.routing = 1;
-  e.nodes = 100;
-  e.flows = 20;
-  e.rate_pps = 2.5;
-  e.pause_s = 600.0;
-  e.duration_s = 900.0;
-  e.seed = 77;
-  unsigned char buf[80];
-  serving::encode_entry(e, buf);
-  const IndexEntry d = serving::decode_entry(buf);
-  EXPECT_EQ(d.job, e.job);
-  EXPECT_EQ(d.offset, e.offset);
-  EXPECT_EQ(d.cfg_digest, e.cfg_digest);
-  EXPECT_EQ(d.cell_digest, e.cell_digest);
-  EXPECT_EQ(d.length, e.length);
-  EXPECT_EQ(d.scheme, e.scheme);
-  EXPECT_EQ(d.routing, e.routing);
-  EXPECT_EQ(d.nodes, e.nodes);
-  EXPECT_EQ(d.flows, e.flows);
-  EXPECT_DOUBLE_EQ(d.rate_pps, e.rate_pps);
-  EXPECT_DOUBLE_EQ(d.pause_s, e.pause_s);
-  EXPECT_DOUBLE_EQ(d.duration_s, e.duration_s);
-  EXPECT_EQ(d.seed, e.seed);
-}
-
-TEST(ResultIndex, BuildAndPointLookup) {
+TEST(ResultService, BuildAndPointLookup) {
   TempDir dir;
   const auto jobs = make_jobs(3);
   const std::string jsonl = dir.file("results.jsonl");
   write_records(jsonl, jobs, 0, jobs.size());
 
-  const ResultIndex idx = ResultIndex::open(jsonl);
-  ASSERT_EQ(idx.entries().size(), jobs.size());
-  EXPECT_EQ(idx.indexed_bytes(), fs::file_size(jsonl));
+  serving::ResultService svc({jsonl});
+  ASSERT_EQ(svc.record_count(), jobs.size());
 
-  // Every record is findable by its cfg digest, and the extent points at
-  // the exact JSONL line.
-  const std::string content = read_file(jsonl);
+  // Every record is findable by its cfg digest and comes back as its exact
+  // JSONL line.
+  std::vector<std::string> lines;
+  std::istringstream content(read_file(jsonl));
+  for (std::string l; std::getline(content, l);) lines.push_back(l);
+  ASSERT_EQ(lines.size(), jobs.size());
   for (const Job& job : jobs) {
-    const IndexEntry* e =
-        idx.find_cfg(serving::digest_to_u64(job.digest));
-    ASSERT_NE(e, nullptr) << job.id;
-    EXPECT_EQ(e->job, job.index);
-    const std::string line = content.substr(e->offset, e->length);
-    const auto rec = campaign::parse_result_line(line);
-    EXPECT_EQ(rec.job, job.index);
-    EXPECT_EQ(rec.digest, job.digest);
+    const auto line = svc.result_json(serving::digest_to_u64(job.digest));
+    ASSERT_TRUE(line.has_value()) << job.id;
+    EXPECT_EQ(*line, lines[job.index]) << job.id;
   }
 
-  // Cell lookup groups exactly the seeds of one grid point.
-  const auto cell = campaign::config_cell_digest(jobs[0].cfg);
-  const auto group = idx.find_cell(serving::digest_to_u64(cell));
-  EXPECT_EQ(group.size(), 3u);
-  for (const IndexEntry* e : group) {
-    EXPECT_EQ(campaign::config_cell_digest(
-                  jobs[static_cast<std::size_t>(e->job)].cfg),
-              cell);
+  // A cell folds exactly the seeds of its grid point.
+  const auto row = svc.aggregate_cell(
+      serving::digest_to_u64(campaign::config_cell_digest(jobs[0].cfg)));
+  ASSERT_TRUE(row.has_value());
+  EXPECT_EQ(row->seeds, 3u);
+  campaign::AggregateAccumulator acc;
+  for (const Job& job : jobs) {
+    if (campaign::config_cell_digest(job.cfg) ==
+        campaign::config_cell_digest(jobs[0].cfg)) {
+      acc.add(campaign::parse_result_line(lines[job.index]));
+    }
   }
+  ASSERT_EQ(acc.records(), 3u);
+  EXPECT_EQ(campaign::aggregate_csv({*row}), campaign::aggregate_csv(acc.rows()));
 }
 
-TEST(ResultIndex, AdoptAndExtendAfterAppend) {
+// A torn trailing line (a write still in flight, or a crash) is not indexed
+// until its newline lands, and indexing leaves no file beside the JSONL.
+TEST(ResultService, TornTrailingLineWaitsForNewline) {
   TempDir dir;
   const auto jobs = make_jobs(2);
   const std::string jsonl = dir.file("results.jsonl");
-  write_records(jsonl, jobs, 0, 3);
-  { ResultIndex::open(jsonl); }  // builds the sidecar for the first 3
-
-  write_records(jsonl, jobs, 3, jobs.size());
-  const ResultIndex idx = ResultIndex::open(jsonl);  // adopt + extend
-  EXPECT_EQ(idx.entries().size(), jobs.size());
-  EXPECT_EQ(idx.indexed_bytes(), fs::file_size(jsonl));
-}
-
-TEST(ResultIndex, RebuildIsByteIdentical) {
-  TempDir dir;
-  const auto jobs = make_jobs(3);
-  const std::string jsonl = dir.file("results.jsonl");
-  write_records(jsonl, jobs, 0, jobs.size());
-  const std::string idx_path = ResultIndex::sidecar_path(jsonl);
-
-  { ResultIndex::open(jsonl); }
-  const std::string original = read_file(idx_path);
-  ASSERT_FALSE(original.empty());
-
-  // Deleted sidecar: rebuilt from the JSONL alone, byte-for-byte.
-  fs::remove(idx_path);
-  { ResultIndex::rebuild(jsonl); }
-  EXPECT_EQ(read_file(idx_path), original);
-
-  // Corrupt header magic: open() detects and rebuilds identically.
-  std::string corrupt = original;
-  corrupt[0] = 'X';
-  write_file(idx_path, corrupt);
-  { ResultIndex::open(jsonl); }
-  EXPECT_EQ(read_file(idx_path), original);
-
-  // Corrupt record payload (nonsense offset): open() rebuilds.
-  corrupt = original;
-  std::memset(&corrupt[16 + 8], 0xff, 8);  // first record's offset field
-  write_file(idx_path, corrupt);
-  { ResultIndex::open(jsonl); }
-  EXPECT_EQ(read_file(idx_path), original);
-
-  // Torn trailing record (append crash): truncated, then re-extended.
-  write_file(idx_path, original.substr(0, original.size() - 17));
-  { ResultIndex::open(jsonl); }
-  EXPECT_EQ(read_file(idx_path), original);
-}
-
-TEST(ResultIndex, StaleSidecarAfterJsonlTruncation) {
-  TempDir dir;
-  const auto jobs = make_jobs(3);
-  const std::string jsonl = dir.file("results.jsonl");
-  write_records(jsonl, jobs, 0, jobs.size());
-  { ResultIndex::open(jsonl); }
-
-  // Shrink the JSONL (not a supported mutation, but the index must not
-  // serve extents beyond EOF): entries now point past the end -> rebuild.
-  const std::string content = read_file(jsonl);
-  const auto cut = content.find('\n', content.size() / 2);
-  write_file(jsonl, content.substr(0, cut + 1));
-
-  const ResultIndex idx = ResultIndex::open(jsonl);
-  EXPECT_LT(idx.entries().size(), jobs.size());
-  EXPECT_EQ(idx.indexed_bytes(), fs::file_size(jsonl));
-}
-
-TEST(ResultIndex, IncrementalAppendMatchesRebuild) {
-  TempDir dir;
-  const auto jobs = make_jobs(3);
-  const std::string jsonl = dir.file("results.jsonl");
-  const std::string idx_path = ResultIndex::sidecar_path(jsonl);
-
-  // Index records one by one through append() as the store writes them —
-  // the worker's on_commit path, which builds every entry from the job
-  // config rather than re-parsing the line.
-  auto store = campaign::ResultStore::open_append(jsonl);
-  std::optional<ResultIndex> idx;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const auto extent = store.append(jobs[i], synth_result(i), 1.5);
-    if (!idx) idx = ResultIndex::open(jsonl);
-    if (extent.offset >= idx->indexed_bytes()) {
-      idx->append(serving::index_entry(
-          jobs[i].index, serving::digest_to_u64(jobs[i].digest), jobs[i].cfg,
-          extent.offset, extent.length));
-    }
+  write_records(jsonl, jobs, 0, 2);
+  const std::string tail =
+      campaign::record_to_json(jobs[2], synth_result(2), 1.5);
+  {
+    std::ofstream out(jsonl, std::ios::binary | std::ios::app);
+    out << tail.substr(0, tail.size() / 2);
   }
-  store.close();
-  const std::string incremental = read_file(idx_path);
 
-  // A from-scratch rebuild (which derives every field by parsing the JSONL)
-  // must reproduce the incrementally-built sidecar byte-for-byte.
-  fs::remove(idx_path);
-  { ResultIndex::rebuild(jsonl); }
-  EXPECT_EQ(read_file(idx_path), incremental);
+  serving::ResultService svc({jsonl});
+  EXPECT_EQ(svc.record_count(), 2u);
+  EXPECT_FALSE(svc.result_json(serving::digest_to_u64(jobs[2].digest)));
+  EXPECT_EQ(svc.refresh(), 0u);
+
+  {
+    std::ofstream out(jsonl, std::ios::binary | std::ios::app);
+    out << tail.substr(tail.size() / 2);
+  }
+  EXPECT_EQ(svc.refresh(), 0u);  // complete bytes, but still no newline
+  {
+    std::ofstream out(jsonl, std::ios::binary | std::ios::app);
+    out << '\n';
+  }
+  EXPECT_EQ(svc.refresh(), 1u);
+  EXPECT_EQ(svc.result_json(serving::digest_to_u64(jobs[2].digest)), tail);
+  EXPECT_EQ(svc.aggregate_csv(), campaign::export_aggregate_csv({jsonl}));
+
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(fs::path(jsonl).parent_path())) {
+    names.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(names, std::vector<std::string>{"results.jsonl"});
+}
+
+// `run --port` opens the service before its workers create their shard
+// files: a missing file reads as empty, and refresh() picks it up once it
+// appears.
+TEST(ResultService, ShardCreatedAfterOpenIsPickedUp) {
+  TempDir dir;
+  const auto jobs = make_jobs(2);
+  const std::string shard0 = dir.file("results.shard0.jsonl");
+  const std::string shard1 = dir.file("results.shard1.jsonl");
+  write_records(shard0, jobs, 0, 3);
+
+  serving::ResultService svc({shard0, shard1});
+  EXPECT_EQ(svc.record_count(), 3u);
+  EXPECT_FALSE(fs::exists(shard1));
+  EXPECT_EQ(svc.refresh(), 0u);
+
+  write_records(shard1, jobs, 3, jobs.size());
+  EXPECT_EQ(svc.refresh(), jobs.size() - 3);
+  EXPECT_EQ(svc.record_count(), jobs.size());
+  EXPECT_EQ(svc.aggregate_csv(),
+            campaign::export_aggregate_csv({shard0, shard1}));
 }
 
 // -------------------------------------------------------------- service --
@@ -381,98 +305,6 @@ TEST(ResultService, RefreshSeesAppends) {
   EXPECT_EQ(svc.refresh(), 0u);
 }
 
-// Builds the worker's on_commit entry for jobs[i] written at `extent`.
-IndexEntry entry_for(const Job& job, std::uint64_t offset,
-                     std::uint32_t length) {
-  const auto& cfg = job.cfg;
-  IndexEntry e;
-  e.job = job.index;
-  e.offset = offset;
-  e.length = length;
-  e.cfg_digest = serving::digest_to_u64(job.digest);
-  e.cell_digest = serving::digest_to_u64(campaign::config_cell_digest(cfg));
-  e.scheme = static_cast<std::uint8_t>(cfg.scheme);
-  e.routing = static_cast<std::uint8_t>(cfg.routing);
-  e.nodes = static_cast<std::uint32_t>(cfg.num_nodes);
-  e.flows = static_cast<std::uint32_t>(cfg.num_flows);
-  e.rate_pps = cfg.rate_pps;
-  e.pause_s = sim::to_seconds(cfg.pause);
-  e.duration_s = sim::to_seconds(cfg.duration);
-  e.seed = cfg.seed;
-  return e;
-}
-
-// A reader index refreshing against a writer-maintained sidecar must adopt
-// the writer's records from the mapping instead of re-parsing the JSONL —
-// observable because the reader appends nothing to the sidecar (its size
-// stays exactly header + n records, no duplicates).
-TEST(ResultIndex, RefreshAdoptsExternalSidecarRecords) {
-  TempDir dir;
-  const auto jobs = make_jobs(2);
-  const std::string jsonl = dir.file("results.jsonl");
-  const std::string idx_path = ResultIndex::sidecar_path(jsonl);
-
-  write_records(jsonl, jobs, 0, 1);
-  ResultIndex reader = ResultIndex::open(jsonl);
-  ASSERT_EQ(reader.entries().size(), 1u);
-
-  // Writer process: appends JSONL lines and keeps the sidecar in lockstep.
-  ResultIndex writer = ResultIndex::open(jsonl);
-  auto store = campaign::ResultStore::open_append(jsonl);
-  for (std::size_t i = 1; i < jobs.size(); ++i) {
-    const auto extent = store.append(jobs[i], synth_result(i), 1.5);
-    writer.append(entry_for(jobs[i], extent.offset,
-                            static_cast<std::uint32_t>(extent.length)));
-  }
-  store.close();
-
-  const auto sidecar_before = fs::file_size(idx_path);
-  EXPECT_EQ(reader.refresh(), jobs.size() - 1);
-  ASSERT_EQ(reader.entries().size(), jobs.size());
-  EXPECT_EQ(fs::file_size(idx_path), sidecar_before);  // no duplicate records
-  for (const Job& job : jobs) {
-    const IndexEntry* e =
-        reader.find_cfg(serving::digest_to_u64(job.digest));
-    ASSERT_NE(e, nullptr) << job.id;
-    EXPECT_EQ(e->job, job.index);
-    EXPECT_EQ(e->seed, job.cfg.seed);
-  }
-  EXPECT_EQ(reader.refresh(), 0u);
-}
-
-// A torn trailing sidecar record (writer crashed mid-append) must not be
-// adopted; the complete records before it are, and the line the torn record
-// described is recovered from the JSONL without disturbing the sidecar.
-TEST(ResultIndex, RefreshIgnoresTornSidecarTail) {
-  TempDir dir;
-  const auto jobs = make_jobs(2);
-  const std::string jsonl = dir.file("results.jsonl");
-  const std::string idx_path = ResultIndex::sidecar_path(jsonl);
-
-  write_records(jsonl, jobs, 0, 1);
-  ResultIndex reader = ResultIndex::open(jsonl);
-
-  ResultIndex writer = ResultIndex::open(jsonl);
-  auto store = campaign::ResultStore::open_append(jsonl);
-  for (std::size_t i = 1; i < jobs.size(); ++i) {
-    const auto extent = store.append(jobs[i], synth_result(i), 1.5);
-    writer.append(entry_for(jobs[i], extent.offset,
-                            static_cast<std::uint32_t>(extent.length)));
-  }
-  store.close();
-  const auto full = fs::file_size(idx_path);
-  fs::resize_file(idx_path, full - 17);  // tear the last record
-
-  EXPECT_EQ(reader.refresh(), jobs.size() - 1);
-  EXPECT_EQ(reader.entries().size(), jobs.size());
-  // The torn sidecar is left for the writer (or the next open) to repair.
-  EXPECT_EQ(fs::file_size(idx_path), full - 17);
-  const IndexEntry* last =
-      reader.find_cfg(serving::digest_to_u64(jobs.back().digest));
-  ASSERT_NE(last, nullptr);
-  EXPECT_EQ(last->job, jobs.back().index);
-}
-
 // Filtered aggregates: a grid filter keeps exactly the matching rows of the
 // unfiltered export (same order, same bytes per row); a seed filter refolds
 // cells from the matching records only.
@@ -507,10 +339,16 @@ TEST(ResultService, FilteredAggregateSelectsRows) {
   EXPECT_EQ(std::count(one.begin(), one.end(), '\n'), 2);
   EXPECT_NE(one.find("RCAST,"), std::string::npos);
 
-  // An unmatched filter yields just the header.
+  // An unmatched filter yields just the header. Values compare in full:
+  // 2^32 + 10 nodes (or 2^32 + 2 flows) is not 10 nodes (or 2 flows).
   serving::AggregateFilter none;
   none.nodes = 999;
   EXPECT_EQ(svc.aggregate_csv(none), lines[0] + "\n");
+  none.nodes = (std::uint64_t{1} << 32) + 10;
+  EXPECT_EQ(svc.aggregate_csv(none), lines[0] + "\n");
+  serving::AggregateFilter wide_flows;
+  wide_flows.flows = (std::uint64_t{1} << 32) + jobs[0].cfg.num_flows;
+  EXPECT_EQ(svc.aggregate_csv(wide_flows), lines[0] + "\n");
 
   // A seed filter folds one record per cell: seeds column reads 1 and the
   // row count still matches the cell count.
@@ -528,29 +366,6 @@ TEST(ResultService, FilteredAggregateSelectsRows) {
     for (int i = 0; i < 10; ++i) ASSERT_TRUE(std::getline(cols, field, ','));
     EXPECT_EQ(field, "1") << row;
   }
-}
-
-TEST(ResultService, RefreshAdoptsWriterMaintainedSidecar) {
-  TempDir dir;
-  const auto jobs = make_jobs(2);
-  const std::string jsonl = dir.file("results.jsonl");
-  write_records(jsonl, jobs, 0, 2);
-
-  serving::ResultService svc({jsonl});
-  EXPECT_EQ(svc.record_count(), 2u);
-
-  ResultIndex writer = ResultIndex::open(jsonl);
-  auto store = campaign::ResultStore::open_append(jsonl);
-  for (std::size_t i = 2; i < jobs.size(); ++i) {
-    const auto extent = store.append(jobs[i], synth_result(i), 1.5);
-    writer.append(entry_for(jobs[i], extent.offset,
-                            static_cast<std::uint32_t>(extent.length)));
-  }
-  store.close();
-
-  EXPECT_EQ(svc.refresh(), jobs.size() - 2);
-  EXPECT_EQ(svc.record_count(), jobs.size());
-  EXPECT_EQ(svc.aggregate_csv(), campaign::export_aggregate_csv({jsonl}));
 }
 
 // ---------------------------------------------- streaming load (store) --

@@ -10,21 +10,20 @@
 //   rcast_campaignd serve   MANIFEST --out=DIR --port=P
 //   rcast_campaignd export  MANIFEST --out=DIR [--csv=FILE]
 //   rcast_campaignd status  MANIFEST --out=DIR
-//   rcast_campaignd reindex MANIFEST --out=DIR
 //   rcast_campaignd worker  MANIFEST --out=DIR --shards=N --shard=K  (internal)
 //
-// Layout under DIR: journal.shard<k>.log, results.shard<k>.jsonl (+ .idx
-// sidecar), metrics.shard<k>.json; export/serve/status/reindex also read
-// the single-journal layout (journal.log + results.jsonl). Workers are
-// resumable idempotent units: the supervisor re-execs any worker that dies
-// to a signal and the journal resume path absorbs the loss. Endpoints:
+// Layout under DIR: journal.shard<k>.log, results.shard<k>.jsonl,
+// metrics.shard<k>.json; export/serve/status also read the single-journal
+// layout (journal.log + results.jsonl), and write nothing under DIR. Workers
+// are resumable idempotent units: the supervisor re-execs any worker that
+// dies to a signal and the journal resume path absorbs the loss. Endpoints:
 // /status (fleet + journal + cache view), /results?digest=<16hex> (point
-// lookup via the index), /aggregate?cell=<16hex> (memoized seed-average),
-// /aggregate (full CSV, optionally filtered by the grid coordinates the
-// index records carry: ?scheme=rcast&routing=dsr&mobility.model=rpgm
+// lookup via the in-memory index), /aggregate?cell=<16hex> (memoized
+// seed-average), /aggregate (full CSV, optionally filtered by grid
+// coordinates: ?scheme=rcast&routing=dsr&mobility.model=rpgm
 // &traffic.pattern=sensing&nodes=60&flows=8&rate_pps=4&pause_s=30
-// &duration_s=900&seed=3), /metrics (chunked live counter stream merged
-// across shards).
+// &duration_s=900&seed=3), /metrics[?watch=N&interval-ms=M] (chunked live
+// counter stream merged across shards).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -38,6 +37,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <variant>
 #include <vector>
 
@@ -51,7 +51,6 @@
 #include "scenario/scheme.hpp"
 #include "serving/http_server.hpp"
 #include "serving/metrics_io.hpp"
-#include "serving/result_index.hpp"
 #include "serving/result_service.hpp"
 #include "serving/shard_supervisor.hpp"
 #include "stats/live_counters.hpp"
@@ -77,7 +76,6 @@ void print_usage() {
       "  rcast_campaignd serve   MANIFEST --out=DIR   HTTP over a stored one\n"
       "  rcast_campaignd export  MANIFEST --out=DIR   merged aggregate CSV\n"
       "  rcast_campaignd status  MANIFEST --out=DIR   per-shard progress\n"
-      "  rcast_campaignd reindex MANIFEST --out=DIR   rebuild index sidecars\n"
       "\n"
       "  --out=DIR        campaign directory (journal/results/metrics per "
       "shard)\n"
@@ -109,7 +107,7 @@ void print_usage() {
 /// The numeric flags, parsed and range-checked before anything touches
 /// --out (a sign-wrapped --shards=-1 would otherwise create 2^64 files).
 struct Counts {
-  std::size_t shards = 0;  // 0: export/serve/reindex discover; run uses 1
+  std::size_t shards = 0;  // 0: export/serve discover; run uses 1
   std::size_t shard = 0;
   std::size_t threads = 0;  // 0 = hardware concurrency
   std::size_t max_jobs = 0;
@@ -168,8 +166,9 @@ std::string metrics_path(const std::string& out_dir, std::size_t k) {
 
 /// Result files of a campaign directory, in precedence order (later wins):
 /// a single-process results.jsonl first if present, then shard files
-/// ascending. With `shards` > 0 the shard set is forced to exactly 0..N-1
-/// (missing files are created empty so the service can open them).
+/// ascending. With `shards` > 0 the shard set is exactly 0..N-1, whether or
+/// not each file exists yet: the service reads a missing file as empty, and
+/// export fails naming it. Creates nothing.
 std::vector<std::string> discover_results(const std::string& out_dir,
                                           std::size_t shards) {
   std::vector<std::string> paths;
@@ -177,9 +176,7 @@ std::vector<std::string> discover_results(const std::string& out_dir,
   if (fs::exists(single)) paths.push_back(single);
   if (shards > 0) {
     for (std::size_t k = 0; k < shards; ++k) {
-      const std::string p = results_path(out_dir, k);
-      if (!fs::exists(p)) std::ofstream(p, std::ios::app);
-      paths.push_back(p);
+      paths.push_back(results_path(out_dir, k));
     }
   } else {
     for (std::size_t k = 0;; ++k) {
@@ -357,25 +354,22 @@ std::optional<std::uint64_t> parse_digest_param(const std::string& hex) {
 std::variant<serving::AggregateFilter, std::string> parse_aggregate_filter(
     const std::map<std::string, std::string>& query) {
   // The index stores each enum axis as its registry ordinal.
-  const auto ordinal = [](const auto& registry, const std::string& name) {
-    return static_cast<std::uint8_t>(registry.index_of(name));
-  };
   serving::AggregateFilter f;
   try {
     for (const auto& [key, value] : query) {
       if (key == "scheme") {
-        f.scheme = ordinal(scenario::power_policies(), value);
+        f.scheme = scenario::power_policies().index_of(value);
       } else if (key == "routing") {
-        f.routing = ordinal(scenario::routing_protocols(), value);
+        f.routing = scenario::routing_protocols().index_of(value);
       } else if (key == "mobility.model") {
-        f.mobility = ordinal(scenario::mobility_models(), value);
+        f.mobility = scenario::mobility_models().index_of(value);
       } else if (key == "traffic.pattern") {
-        f.traffic = ordinal(scenario::traffic_patterns(), value);
+        f.traffic = scenario::traffic_patterns().index_of(value);
       } else if (key == "nodes" || key == "flows" || key == "seed") {
         const auto v = Flags::parse_u64(value);
         if (!v) return "malformed " + key + ": " + value;
-        if (key == "nodes") f.nodes = static_cast<std::uint32_t>(*v);
-        else if (key == "flows") f.flows = static_cast<std::uint32_t>(*v);
+        if (key == "nodes") f.nodes = *v;
+        else if (key == "flows") f.flows = *v;
         else f.seed = *v;
       } else if (key == "rate_pps" || key == "pause_s" ||
                  key == "duration_s") {
@@ -455,12 +449,19 @@ serving::HttpServer::Handler make_handler(std::shared_ptr<ServeContext> ctx) {
     if (req.path == "/metrics") {
       std::uint64_t watch = 1;
       std::uint64_t interval_ms = 1000;
-      if (const auto it = req.query.find("watch"); it != req.query.end()) {
-        watch = Flags::parse_u64(it->second).value_or(1);
-      }
-      if (const auto it = req.query.find("interval-ms");
-          it != req.query.end()) {
-        interval_ms = Flags::parse_u64(it->second).value_or(1000);
+      // A day bounds the interval, so the sleep deadline cannot overflow.
+      constexpr std::uint64_t kMaxIntervalMs = 24 * 3600 * 1000;
+      for (auto [key, max, out] :
+           {std::tuple{"watch", UINT64_MAX, &watch},
+            std::tuple{"interval-ms", kMaxIntervalMs, &interval_ms}}) {
+        const auto it = req.query.find(key);
+        if (it == req.query.end()) continue;
+        const auto v = Flags::parse_u64(it->second);
+        if (!v || *v > max) {
+          return error_response(400, "invalid " + std::string(key) + ": " +
+                                         it->second);
+        }
+        *out = *v;
       }
       serving::HttpResponse resp;
       resp.content_type = "application/x-ndjson";
@@ -472,7 +473,15 @@ serving::HttpServer::Handler make_handler(std::shared_ptr<ServeContext> ctx) {
         if (state->second) {
           state->second = false;
         } else {
-          std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
+          // Sleep in slices of at most 100 ms, so a stop signal ends the
+          // stream promptly however long the interval.
+          const auto until = std::chrono::steady_clock::now() +
+                             std::chrono::milliseconds(interval_ms);
+          for (auto now = std::chrono::steady_clock::now();
+               now < until && !g_stop; now = std::chrono::steady_clock::now()) {
+            std::this_thread::sleep_for(std::min<std::chrono::nanoseconds>(
+                until - now, std::chrono::milliseconds(100)));
+          }
           if (g_stop) return false;
         }
         --state->first;
@@ -509,32 +518,10 @@ int cmd_worker(const campaign::Manifest& manifest,
   stats::LiveCounters live;
   opt.live = &live;
 
-  // Incremental index maintenance + metrics publication, both hanging off
-  // the commit hook. The index opens lazily on the first commit (the runner
-  // creates the results file); open() also covers records a previous
-  // incarnation of this shard wrote before being killed.
+  // Each commit publishes the shard's live counters for /metrics.
   const std::string metrics = metrics_path(out_dir, shard);
-  std::optional<serving::ResultIndex> index;
-  opt.on_commit = [&](const campaign::Job& job,
-                      const campaign::JobOutcome& outcome,
-                      const campaign::AppendExtent* extent) {
-    if (extent != nullptr &&
-        outcome.status == campaign::JobStatus::kOk) {
-      try {
-        if (!index) index = serving::ResultIndex::open(opt.results_path);
-        if (extent->offset >= index->indexed_bytes()) {
-          index->append(serving::index_entry(
-              job.index, serving::digest_to_u64(job.digest), job.cfg,
-              extent->offset, extent->length));
-        }
-      } catch (const std::exception& ex) {
-        // The sidecar is a cache: serving rebuilds it on demand, so index
-        // trouble must never fail a committed job.
-        std::fprintf(stderr, "shard %zu: index append failed: %s\n", shard,
-                     ex.what());
-        index.reset();
-      }
-    }
+  opt.on_commit = [&](const campaign::Job&, const campaign::JobOutcome&,
+                      const campaign::AppendExtent*) {
     serving::write_snapshot_file(metrics, live.snapshot());
   };
 
@@ -757,21 +744,6 @@ int cmd_status(const campaign::Manifest& manifest,
   return 0;
 }
 
-int cmd_reindex(const std::string& out_dir, const Counts& counts) {
-  const auto paths = discover_results(out_dir, counts.shards);
-  if (paths.empty()) {
-    std::fprintf(stderr, "no result files under %s\n", out_dir.c_str());
-    return 2;
-  }
-  for (const std::string& p : paths) {
-    const serving::ResultIndex idx = serving::ResultIndex::rebuild(p);
-    std::printf("%s: %zu records indexed\n",
-                serving::ResultIndex::sidecar_path(p).c_str(),
-                idx.entries().size());
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -839,7 +811,6 @@ int main(int argc, char** argv) {
     }
     if (cmd == "export") return cmd_export(out_dir, flags, counts);
     if (cmd == "status") return cmd_status(manifest, base, out_dir);
-    if (cmd == "reindex") return cmd_reindex(out_dir, counts);
     std::fprintf(stderr, "unknown subcommand '%s' (see --help)\n", cmd.c_str());
     return 2;
   } catch (const std::exception& e) {
