@@ -10,19 +10,22 @@
 using namespace rcast;
 using namespace rcast::bench;
 
-int main() {
-  const auto scale = BenchScale::from_env();
-  print_header("Ablation A2: randomized broadcast receiving (RREQ)", scale);
+int main(int argc, char** argv) {
+  Manifest m = load_manifest(argc, argv);
+  print_header("Ablation A2: randomized broadcast receiving (RREQ)", m);
+
+  m.schemes = {Scheme::kRcast, Scheme::kRcastBcast};
+  m.rates_pps = {1.0};
+  m.pauses = {mobile_pause(m)};  // mobility forces rediscoveries
+  const CampaignResult res = campaign::run_campaign(m, {});
 
   std::printf("%-10s %12s %8s %10s %12s %12s\n", "scheme", "energy(J)",
               "PDR(%)", "delay(s)", "rreq-tx", "norm-ovhd");
 
   RunResult plain, bcast;
-  for (Scheme s : {Scheme::kRcast, Scheme::kRcastBcast}) {
-    ScenarioConfig cfg = scaled_config(scale);
-    cfg.rate_pps = 1.0;
-    cfg.pause = scale.duration / 2;  // mobility forces rediscoveries
-    const RunResult r = run_cell(cfg, s, scale);
+  for (Scheme s : m.schemes) {
+    const RunResult r = res.average_cell(
+        [&](const ScenarioConfig& c) { return c.scheme == s; });
     std::printf("%-10s %12.1f %8.1f %10.3f %12llu %12.3f\n",
                 std::string(to_string(s)).c_str(), r.total_energy_j,
                 r.pdr_percent, r.avg_delay_s,

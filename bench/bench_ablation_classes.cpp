@@ -18,10 +18,13 @@ struct Variant {
 
 }  // namespace
 
-int main() {
-  const auto scale = BenchScale::from_env();
+int main(int argc, char** argv) {
+  Manifest m = load_manifest(argc, argv);
   print_header("Ablation A3: per-packet-class overhearing map (paper §3.3)",
-               scale);
+               m);
+  m.schemes = {Scheme::kRcast};
+  m.rates_pps = {1.0};
+  m.pauses = {mobile_pause(m)};  // mobility makes RERRs matter
 
   using mac::OverhearingMode;
   std::vector<Variant> variants;
@@ -54,14 +57,11 @@ int main() {
 
   std::vector<RunResult> rs;
   for (const auto& v : variants) {
-    ScenarioConfig cfg = scaled_config(scale);
-    cfg.rate_pps = 1.0;
-    cfg.pause = scale.duration / 2;  // mobility makes RERRs matter
-    cfg.scheme = Scheme::kRcast;
-    cfg.override_oh_map = true;
-    cfg.dsr.oh_map = v.map;
-    const RunResult r =
-        scenario::average(scenario::run_repetitions(cfg, scale.repetitions));
+    ScenarioConfig base;
+    base.override_oh_map = true;
+    base.dsr.oh_map = v.map;
+    const RunResult r = campaign::run_campaign(m, {}, base).average_cell(
+        [](const ScenarioConfig&) { return true; });
     std::printf("%-14s %12.1f %8.1f %10.3f %12.3f\n", v.name,
                 r.total_energy_j, r.pdr_percent, r.avg_delay_s,
                 r.normalized_overhead);

@@ -9,33 +9,42 @@
 using namespace rcast;
 using namespace rcast::bench;
 
-int main() {
-  const auto scale = BenchScale::from_env();
-  print_header("Ablation A1: P_R estimator choice (paper §3.2 factors)",
-               scale);
+int main(int argc, char** argv) {
+  Manifest m = load_manifest(argc, argv);
+  print_header("Ablation A1: P_R estimator choice (paper §3.2 factors)", m);
+
+  m.schemes = {Scheme::kRcast};
+  m.rates_pps = {1.0};
+  m.pauses = {mobile_pause(m), PauseSpec::static_scenario()};
 
   const core::PrEstimator estimators[] = {
       core::PrEstimator::kNeighborCount, core::PrEstimator::kSenderRecency,
       core::PrEstimator::kMobility, core::PrEstimator::kBattery,
       core::PrEstimator::kCombined};
+  std::vector<CampaignResult> runs;  // one campaign per estimator
+  for (auto est : estimators) {
+    Manifest cell = m;
+    // Give the battery estimator a finite (but ample) battery signal.
+    if (est == core::PrEstimator::kBattery ||
+        est == core::PrEstimator::kCombined) {
+      cell.battery_j = 1.15 * m.duration_s * 4;
+    }
+    ScenarioConfig base;
+    base.rcast.estimator = est;
+    runs.push_back(campaign::run_campaign(cell, {}, base));
+  }
 
-  for (sim::Time pause : {scale.duration / 2, scale.duration}) {
-    std::printf("--- pause=%.0f s ---\n", sim::to_seconds(pause));
+  for (const PauseSpec& pause : m.pauses) {
+    const sim::Time pause_t = pause_time(m, pause);
+    std::printf("--- pause=%.0f s ---\n", sim::to_seconds(pause_t));
     std::printf("%-12s %12s %8s %10s %12s\n", "estimator", "energy(J)",
                 "PDR(%)", "delay(s)", "norm-ovhd");
     double e_neigh = 0.0;
     bool all_deliver = true;
-    for (auto est : estimators) {
-      ScenarioConfig cfg = scaled_config(scale);
-      cfg.rate_pps = 1.0;
-      cfg.pause = pause;
-      cfg.rcast.estimator = est;
-      // Give the battery estimator a finite (but ample) battery signal.
-      if (est == core::PrEstimator::kBattery ||
-          est == core::PrEstimator::kCombined) {
-        cfg.battery_joules = 1.15 * sim::to_seconds(scale.duration) * 4;
-      }
-      const RunResult r = run_cell(cfg, Scheme::kRcast, scale);
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      const auto est = estimators[i];
+      const RunResult r = runs[i].average_cell(
+          [&](const ScenarioConfig& c) { return c.pause == pause_t; });
       std::printf("%-12s %12.1f %8.1f %10.3f %12.3f\n",
                   core::to_string(est), r.total_energy_j, r.pdr_percent,
                   r.avg_delay_s, r.normalized_overhead);
@@ -50,16 +59,17 @@ int main() {
   // Passive vs oracle neighbor counting for the paper's 1/N.
   std::printf("--- neighbor-count source (P_R = 1/N denominator) ---\n");
   std::printf("%-12s %12s %8s\n", "source", "energy(J)", "PDR(%)");
-  RunResult oracle, passive;
+  m.pauses = {PauseSpec::static_scenario()};
+  m.axes = {{"rcast.oracle_neighbors", {"true", "false"}}};
+  const CampaignResult sources = campaign::run_campaign(m, {});
+  RunResult passive;
   for (bool use_oracle : {true, false}) {
-    ScenarioConfig cfg = scaled_config(scale);
-    cfg.rate_pps = 1.0;
-    cfg.pause = scale.duration;
-    cfg.rcast_oracle_neighbors = use_oracle;
-    const RunResult r = run_cell(cfg, Scheme::kRcast, scale);
+    const RunResult r = sources.average_cell([&](const ScenarioConfig& c) {
+      return c.rcast_oracle_neighbors == use_oracle;
+    });
     std::printf("%-12s %12.1f %8.1f\n", use_oracle ? "oracle" : "passive",
                 r.total_energy_j, r.pdr_percent);
-    (use_oracle ? oracle : passive) = r;
+    if (!use_oracle) passive = r;
   }
   shape_check(passive.pdr_percent > 70.0,
               "passive neighbor table is a viable 1/N denominator");

@@ -12,22 +12,26 @@
 using namespace rcast;
 using namespace rcast::bench;
 
-int main() {
-  const auto scale = BenchScale::from_env();
-  print_header("Ablation A5: PSM clock-sync jitter sensitivity", scale);
+int main(int argc, char** argv) {
+  Manifest m = load_manifest(argc, argv);
+  print_header("Ablation A5: PSM clock-sync jitter sensitivity", m);
 
-  const double jitters_ms[] = {0.0, 5.0, 20.0, 50.0, 125.0};
+  m.schemes = {Scheme::kRcast};
+  m.rates_pps = {1.0};
+  m.pauses = {PauseSpec::static_scenario()};  // isolate the sync effect
+  m.axes = {{"sync_jitter_ms", {"0", "5", "20", "50", "125"}}};
+  const CampaignResult res = campaign::run_campaign(m, {});
 
+  // link-fails: MAC data frames that exhausted their retries (seed mean).
   std::printf("%-12s %8s %12s %10s %12s\n", "jitter(ms)", "PDR(%)",
-              "energy(J)", "delay(s)", "atim-fails");
+              "energy(J)", "delay(s)", "link-fails");
 
   RunResult sync0, sync_small, sync_window;
-  for (double j : jitters_ms) {
-    ScenarioConfig cfg = scaled_config(scale);
-    cfg.rate_pps = 1.0;
-    cfg.pause = scale.duration;  // static: isolate the sync effect
-    cfg.sync_jitter = sim::from_millis(j);
-    const RunResult r = run_cell(cfg, Scheme::kRcast, scale);
+  for (const std::string& text : m.axes[0].values) {
+    const double j = std::stod(text);
+    const RunResult r = res.average_cell([&](const ScenarioConfig& c) {
+      return c.sync_jitter == sim::from_millis(j);
+    });
     std::printf("%-12.0f %8.1f %12.1f %10.3f %12llu\n", j, r.pdr_percent,
                 r.total_energy_j, r.avg_delay_s,
                 static_cast<unsigned long long>(r.data_tx_failed));

@@ -13,9 +13,9 @@
 using namespace rcast;
 using namespace rcast::bench;
 
-int main() {
-  const auto scale = BenchScale::from_env();
-  print_header("Ablation A4: DSR+Rcast vs AODV under PSM (paper §1)", scale);
+int main(int argc, char** argv) {
+  Manifest m = load_manifest(argc, argv);
+  print_header("Ablation A4: DSR+Rcast vs AODV under PSM (paper §1)", m);
 
   struct Cell {
     scenario::RoutingProtocol proto;
@@ -29,18 +29,22 @@ int main() {
       {scenario::RoutingProtocol::kAodv, Scheme::kRcast, "AODV / PSM"},
   };
 
+  m.schemes = {Scheme::k80211, Scheme::kRcast};
+  m.routings = {scenario::RoutingProtocol::kDsr,
+                scenario::RoutingProtocol::kAodv};
+  m.rates_pps = {1.0};
+  m.pauses = {mobile_pause(m)};
+  const CampaignResult res = campaign::run_campaign(m, {});
+
   std::printf("%-16s %12s %8s %10s %10s %10s\n", "stack", "energy(J)",
               "PDR(%)", "delay(s)", "hellos", "ctrl-tx");
 
   RunResult results[4];
   int i = 0;
   for (const Cell& c : cells) {
-    ScenarioConfig cfg = scaled_config(scale);
-    cfg.rate_pps = 1.0;
-    cfg.pause = scale.duration / 2;
-    cfg.routing = c.proto;
-    cfg.scheme = c.scheme;
-    const RunResult r = run_cell(cfg, c.scheme, scale);
+    const RunResult r = res.average_cell([&](const ScenarioConfig& cfg) {
+      return cfg.routing == c.proto && cfg.scheme == c.scheme;
+    });
     std::printf("%-16s %12.1f %8.1f %10.3f %10llu %10llu\n", c.label,
                 r.total_energy_j, r.pdr_percent, r.avg_delay_s,
                 static_cast<unsigned long long>(r.hello_tx),

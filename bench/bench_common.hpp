@@ -1,26 +1,34 @@
-// Shared scaffolding for the figure-reproduction bench binaries.
+// Shared scaffolding for the shape-check bench binaries.
 //
 // Every bench prints (a) the same rows/series the paper figure reports and
 // (b) a SHAPE-CHECK section asserting the qualitative result (orderings,
 // crossovers, rough factors). Absolute joules differ from the paper's ns-2
 // testbed; the shape is the reproduction target (see EXPERIMENTS.md).
 //
-// Scaling: by default a reduced scenario (60 nodes, 150 s, 3 seeds) keeps
-// each binary in the seconds-to-a-minute range. RCAST_FULL=1 restores the
-// paper's 100 nodes / 1125 s / 10 seeds. RCAST_DURATION_S / RCAST_REPS
-// override individual knobs.
+// Scale: each binary takes one optional argument, a campaign manifest. The
+// default is bench/paper_reduced.manifest (60 nodes, 150 s, 3 seeds), which
+// keeps each binary in the seconds-to-a-minute range;
+// bench/paper_full.manifest is the paper's 100 nodes / 1125 s / 10 seeds.
+// bench_figures runs the manifest's grid as it stands. The other benches
+// keep its scale (nodes, flows, duration, world, seeds) and replace its
+// schemes, rates and pauses with their own cells. Every run goes through
+// campaign::run_campaign with default options: in memory (no journal, no
+// store), on every core.
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "scenario/experiment.hpp"
+#include "campaign/runner.hpp"
 #include "scenario/scenario.hpp"
 
 namespace rcast::bench {
 
-using scenario::BenchScale;
+using campaign::CampaignResult;
+using campaign::Manifest;
+using campaign::PauseSpec;
 using scenario::RunResult;
 using scenario::ScenarioConfig;
 using scenario::Scheme;
@@ -43,35 +51,41 @@ inline int shape_exit() {
   return 0;
 }
 
-/// Paper-default scenario with bench scaling applied.
-inline ScenarioConfig scaled_config(const BenchScale& scale) {
-  ScenarioConfig cfg;
-  scale.apply(cfg);
-  return cfg;
+/// The manifest named by the only argument, or the reduced paper grid when
+/// there is none. Exits 2 on a usage error or an unreadable manifest.
+inline Manifest load_manifest(int argc, char** argv) {
+  if (argc > 2) {
+    std::fprintf(stderr, "usage: %s [MANIFEST]\n", argv[0]);
+    std::exit(2);
+  }
+  const std::string path = argc == 2 ? argv[1] : RCAST_REDUCED_MANIFEST;
+  try {
+    return campaign::parse_manifest_file(path);
+  } catch (const campaign::ManifestError& e) {
+    std::fprintf(stderr, "%s: %s\n", path.c_str(), e.what());
+    std::exit(2);
+  }
 }
 
-/// The paper's packet-rate sweep (Figs. 6-8 x-axis). Scaled mode uses three
-/// points; full mode the paper's 0.2..2.0 grid.
-inline std::vector<double> rate_sweep(const BenchScale& scale) {
-  if (scale.full) return {0.2, 0.4, 0.8, 1.2, 1.6, 2.0};
-  return {0.4, 1.0, 2.0};
-}
-
-/// Mean over repetitions for one (scheme, config) cell.
-inline RunResult run_cell(ScenarioConfig cfg, Scheme scheme,
-                          const BenchScale& scale) {
-  cfg.scheme = scheme;
-  return scenario::average(
-      scenario::run_repetitions(cfg, scale.repetitions));
-}
-
-inline void print_header(const char* title, const BenchScale& scale) {
+inline void print_header(const char* title, const Manifest& m) {
   std::printf("=== %s ===\n", title);
-  std::printf(
-      "scale: %s (%zu nodes, %.0f s, %zu seeds)%s\n\n",
-      scale.full ? "FULL (paper)" : "reduced", scale.num_nodes,
-      sim::to_seconds(scale.duration), scale.repetitions,
-      scale.full ? "" : "   [set RCAST_FULL=1 for paper scale]");
+  std::printf("scale: %s (%zu nodes, %.0f s, %zu seeds)\n\n", m.name.c_str(),
+              m.node_counts.front(), m.duration_s, m.seeds);
+}
+
+/// The manifest's mobile pause: its first fixed (non-static) one.
+inline PauseSpec mobile_pause(const Manifest& m) {
+  for (const PauseSpec& p : m.pauses) {
+    if (!p.is_static) return p;
+  }
+  std::fprintf(stderr, "manifest '%s' has no fixed pause\n", m.name.c_str());
+  std::exit(2);
+}
+
+/// The pause a job of `m` runs with at grid point `p` (static: the duration),
+/// for matching a cell's ScenarioConfig::pause.
+inline sim::Time pause_time(const Manifest& m, const PauseSpec& p) {
+  return sim::from_seconds(p.is_static ? m.duration_s : p.seconds);
 }
 
 }  // namespace rcast::bench

@@ -9,52 +9,49 @@
 using namespace rcast;
 using namespace rcast::bench;
 
-int main() {
-  const auto scale = BenchScale::from_env();
-  print_header("Extension E1: network lifetime with finite batteries",
-               scale);
+int main(int argc, char** argv) {
+  Manifest m = load_manifest(argc, argv);
+  print_header("Extension E1: network lifetime with finite batteries", m);
 
   // Battery sized so an always-awake node dies 75% into the run: heavy
   // (always-on / ODPM-AM) consumers die, while a balanced PSM node — which
   // averages well under 0.86 W — survives. (A smaller battery would invert
   // the dead-node comparison: balanced consumption means everyone crosses a
   // low threshold together.)
-  const double battery_j = 1.15 * sim::to_seconds(scale.duration) * 0.75;
-  std::printf("battery per node: %.1f J\n\n", battery_j);
+  m.battery_j = 1.15 * m.duration_s * 0.75;
+  std::printf("battery per node: %.1f J\n\n", m.battery_j);
+  m.schemes = {Scheme::k80211, Scheme::kOdpm, Scheme::kRcast};
+  m.rates_pps = {1.0};
+  m.pauses = {mobile_pause(m)};
+  const CampaignResult res = campaign::run_campaign(m, {});
 
   std::printf("%-8s %16s %12s %8s %12s\n", "scheme", "first-death(s)",
               "dead-nodes", "PDR(%)", "energy(J)");
 
   RunResult r80211, rodpm, rrcast;
-  for (Scheme s : {Scheme::k80211, Scheme::kOdpm, Scheme::kRcast}) {
-    ScenarioConfig cfg = scaled_config(scale);
-    cfg.rate_pps = 1.0;
-    cfg.pause = scale.duration / 2;
-    cfg.battery_joules = battery_j;
-    const RunResult r = run_cell(cfg, s, scale);
+  for (Scheme s : m.schemes) {
+    const RunResult r = res.average_cell(
+        [&](const ScenarioConfig& c) { return c.scheme == s; });
     std::printf("%-8s %16.1f %12zu %8.1f %12.1f\n",
                 std::string(to_string(s)).c_str(),
-                r.first_death_s == 0.0 ? sim::to_seconds(scale.duration)
-                                       : r.first_death_s,
+                r.first_death_s == 0.0 ? m.duration_s : r.first_death_s,
                 r.dead_nodes, r.pdr_percent, r.total_energy_j);
     if (s == Scheme::k80211) r80211 = r;
     if (s == Scheme::kOdpm) rodpm = r;
     if (s == Scheme::kRcast) rrcast = r;
   }
 
-  const double death_80211 = r80211.first_death_s == 0.0
-                                 ? sim::to_seconds(scale.duration)
-                                 : r80211.first_death_s;
-  const double death_rcast = rrcast.first_death_s == 0.0
-                                 ? sim::to_seconds(scale.duration)
-                                 : rrcast.first_death_s;
-  shape_check(r80211.dead_nodes == scale.num_nodes,
+  const double death_80211 =
+      r80211.first_death_s == 0.0 ? m.duration_s : r80211.first_death_s;
+  const double death_rcast =
+      rrcast.first_death_s == 0.0 ? m.duration_s : rrcast.first_death_s;
+  shape_check(r80211.dead_nodes == m.node_counts.front(),
               "always-on 802.11 exhausts every battery");
   shape_check(death_rcast > death_80211,
               "RCAST's first death comes later than 802.11's");
   shape_check(rrcast.dead_nodes <= rodpm.dead_nodes,
               "RCAST loses no more nodes than ODPM (energy balance)");
-  shape_check(rrcast.dead_nodes < scale.num_nodes,
+  shape_check(rrcast.dead_nodes < m.node_counts.front(),
               "RCAST keeps part of the network alive");
   return shape_exit();
 }

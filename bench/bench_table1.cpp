@@ -2,28 +2,30 @@
 //
 // The paper's Table 1 is qualitative ("always awake", "AM for a
 // pre-determined period", "consistently PS / packets deferred"). This bench
-// quantifies each claimed behaviour from one simulation per scheme: awake
-// fraction, ATIM usage, immediate transmissions, mean delay, and energy.
+// quantifies each claimed behaviour from each scheme's seed mean at 1 pkt/s,
+// pause 600 s: awake fraction, ATIM usage, immediate transmissions, mean
+// delay, and energy.
 #include "bench/bench_common.hpp"
 
 using namespace rcast;
 using namespace rcast::bench;
 
-int main() {
-  const auto scale = BenchScale::from_env();
-  print_header("Table 1: protocol behaviour of 802.11 / ODPM / RCAST",
-               scale);
+int main(int argc, char** argv) {
+  Manifest m = load_manifest(argc, argv);
+  print_header("Table 1: protocol behaviour of 802.11 / ODPM / RCAST", m);
 
-  ScenarioConfig cfg = scaled_config(scale);
-  cfg.rate_pps = 1.0;
-  cfg.pause = 600 * sim::kSecond;
+  m.schemes = {Scheme::k80211, Scheme::kOdpm, Scheme::kRcast};
+  m.rates_pps = {1.0};
+  m.pauses = {PauseSpec::fixed(600.0)};
+  const CampaignResult res = campaign::run_campaign(m, {});
 
   std::printf("%-8s %14s %10s %12s %12s %10s\n", "scheme", "awake-frac",
               "ATIMs", "sleeps/BI/n", "delay(s)", "energy(J)");
 
   RunResult r80211, rodpm, rrcast;
-  for (Scheme s : {Scheme::k80211, Scheme::kOdpm, Scheme::kRcast}) {
-    const RunResult r = run_cell(cfg, s, scale);
+  for (Scheme s : m.schemes) {
+    const RunResult r = res.average_cell(
+        [&](const ScenarioConfig& c) { return c.scheme == s; });
     // Awake fraction from mean power: P = f*1.15 + (1-f)*0.045.
     const double mean_w = r.energy_mean_j / r.duration_s;
     const double awake_frac = (mean_w - 0.045) / (1.15 - 0.045);
@@ -32,7 +34,7 @@ int main() {
                 std::string(to_string(s)).c_str(), awake_frac,
                 static_cast<unsigned long long>(r.atim_tx),
                 static_cast<double>(r.mac_sleeps) /
-                    (bis * static_cast<double>(scale.num_nodes)),
+                    (bis * static_cast<double>(m.node_counts.front())),
                 r.avg_delay_s, r.total_energy_j);
     if (s == Scheme::k80211) r80211 = r;
     if (s == Scheme::kOdpm) rodpm = r;

@@ -5,57 +5,68 @@
 // cell — the quickest way to see where Rcast's savings come from on your
 // own scenario.
 //
-//   ./energy_survey [--nodes=60] [--flows=12] [--seconds=120]
+//   ./energy_survey [--nodes=60] [--flows=nodes/5] [--seconds=120]
 //                   [--width=1500] [--height=300] [--pause=60]
 //                   [--seeds=2] [--seed=1]
 #include <cstdio>
-#include <vector>
+#include <string>
 
-#include "scenario/experiment.hpp"
-#include "scenario/scenario.hpp"
+#include "campaign/runner.hpp"
 #include "util/flags.hpp"
 
 int main(int argc, char** argv) {
   using namespace rcast;
   Flags flags(argc, argv);
 
-  scenario::ScenarioConfig base;
-  base.num_nodes = static_cast<std::size_t>(flags.get_int("nodes", 60));
-  base.num_flows = static_cast<std::size_t>(
-      flags.get_int("flows", static_cast<std::int64_t>(base.num_nodes / 5)));
-  base.duration = sim::from_seconds(flags.get_double("seconds", 120.0));
-  base.world = {flags.get_double("width", 1500.0),
-                flags.get_double("height", 300.0)};
-  base.pause = sim::from_seconds(flags.get_double("pause", 60.0));
-  base.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const auto seeds = static_cast<std::size_t>(flags.get_int("seeds", 2));
+  // The flags become one campaign manifest, so every value is parsed and
+  // bounded by the parameter it sets, as in a manifest file.
+  std::string text =
+      "name = energy_survey\n"
+      "schemes = 80211, psm-none, psm-all, odpm, rcast, rcast-bc\n"
+      "rates_pps = 0.4, 1.0, 2.0\n";
+  const auto line = [&](const char* key, const std::string& value) {
+    text += std::string(key) + " = " + value + "\n";
+  };
+  line("nodes", flags.get_string("nodes", "60"));
+  if (flags.has("flows")) line("flows", flags.get_string("flows", ""));
+  line("duration_s", flags.get_string("seconds", "120"));
+  line("world_m", flags.get_string("width", "1500") + "x" +
+                      flags.get_string("height", "300"));
+  line("pauses_s", flags.get_string("pause", "60"));
+  line("seeds", flags.get_string("seeds", "2"));
+  line("seed_base", flags.get_string("seed", "1"));
 
   for (const auto& unknown : flags.unknown()) {
     std::fprintf(stderr, "unknown flag: --%s\n", unknown.c_str());
     return 2;
   }
+  campaign::Manifest m;
+  try {
+    m = campaign::parse_manifest(text);
+  } catch (const campaign::ManifestError& e) {
+    std::fprintf(stderr, "energy_survey: %s\n", e.what());
+    return 2;
+  }
 
-  const std::vector<double> rates{0.4, 1.0, 2.0};
-  const scenario::Scheme schemes[] = {
-      scenario::Scheme::k80211,    scenario::Scheme::kPsmNone,
-      scenario::Scheme::kPsmAll,   scenario::Scheme::kOdpm,
-      scenario::Scheme::kRcast,    scenario::Scheme::kRcastBcast};
-
+  const std::size_t nodes = m.node_counts.front();
+  const campaign::PauseSpec pause = m.pauses.front();
   std::printf(
       "energy survey: %zu nodes / %zu flows, %.0fx%.0f m, %.0f s, pause "
       "%.0f s, %zu seed(s)\n\n",
-      base.num_nodes, base.num_flows, base.world.width, base.world.height,
-      sim::to_seconds(base.duration), sim::to_seconds(base.pause), seeds);
+      nodes, m.flows > 0 ? m.flows : scenario::default_flows(nodes),
+      m.world_w_m, m.world_h_m, m.duration_s,
+      pause.is_static ? m.duration_s : pause.seconds, m.seeds);
   std::printf("%-10s %6s %12s %8s %12s %10s %12s\n", "scheme", "rate",
               "energy(J)", "PDR(%)", "EPB(J/bit)", "delay(s)", "variance");
 
-  for (auto s : schemes) {
-    for (double rate : rates) {
-      scenario::ScenarioConfig cfg = base;
-      cfg.scheme = s;
-      cfg.rate_pps = rate;
+  const campaign::CampaignResult res =
+      campaign::run_campaign(m, campaign::RunnerOptions{});
+  for (auto s : m.schemes) {
+    for (double rate : m.rates_pps) {
       const scenario::RunResult r =
-          scenario::average(scenario::run_repetitions(cfg, seeds));
+          res.average_cell([&](const scenario::ScenarioConfig& c) {
+            return c.scheme == s && c.rate_pps == rate;
+          });
       std::printf("%-10s %6.1f %12.1f %8.1f %12.3g %10.3f %12.1f\n",
                   std::string(to_string(s)).c_str(), rate, r.total_energy_j,
                   r.pdr_percent, r.energy_per_bit_j, r.avg_delay_s,

@@ -7,7 +7,6 @@
 //   ./quickstart [--nodes=50] [--rate=1.0] [--seconds=60] [--seed=1]
 #include <cstdio>
 
-#include "scenario/experiment.hpp"
 #include "scenario/scenario.hpp"
 #include "util/flags.hpp"
 

@@ -97,13 +97,24 @@ std::string num_id(double v) {
   return buf;
 }
 
-// Registered params owned by the classic grid keys; as manifest overrides
-// or extra axes they would fight the expansion loops, so the parser points
-// at the grid key instead.
+// Registered params owned by the classic manifest keys: the grid axes and
+// the scalars expand() writes into every job. As manifest overrides or
+// extra axes they would be overwritten by the expansion, so every surface
+// points at the owning key instead.
 constexpr std::pair<std::string_view, std::string_view> kAxisOwned[] = {
-    {"power.scheme", "schemes"}, {"routing.protocol", "routings"},
-    {"rate_pps", "rates_pps"},   {"pause_s", "pauses_s"},
-    {"nodes", "nodes"},          {"seed", "seeds / seed_base"},
+    {"power.scheme", "schemes"},
+    {"routing.protocol", "routings"},
+    {"rate_pps", "rates_pps"},
+    {"pause_s", "pauses_s"},
+    {"nodes", "nodes"},
+    {"seed", "seeds / seed_base"},
+    {"flows", "flows"},
+    {"duration_s", "duration_s"},
+    {"payload_bytes", "payload_bytes"},
+    {"speed_mps", "speed_mps"},
+    {"battery_j", "battery_j"},
+    {"world.width_m", "world_m"},
+    {"world.height_m", "world_m"},
 };
 
 }  // namespace
@@ -182,7 +193,7 @@ Manifest parse_manifest(std::string_view text) {
     } else if (key == "duration_s") {
       m.duration_s = need_param(line_no, key, value).d;
     } else if (key == "flows") {  // 0 (the default): default_flows(nodes)
-      m.flows = static_cast<std::size_t>(need_u64(line_no, key, value));
+      m.flows = value == "0" ? 0 : need_param(line_no, key, value).u;
     } else if (key == "payload_bytes") {
       m.payload_bytes = need_param(line_no, key, value).d;
     } else if (key == "speed_mps") {
@@ -199,8 +210,8 @@ Manifest parse_manifest(std::string_view text) {
       // Any registered scenario parameter: single value = scalar override,
       // comma-separated list = extra sweep axis.
       if (const auto owner = axis_owner(key); !owner.empty()) {
-        fail(line_no, "'" + key + "' is a grid axis; use the '" +
-                          std::string(owner) + "' key");
+        fail(line_no, "'" + key + "' is owned by the manifest key '" +
+                          std::string(owner) + "'; use that key");
       }
       const auto items = split_list(value);
       if (items.empty()) fail(line_no, key + ": empty value");
@@ -277,6 +288,15 @@ std::vector<Job> expand(const Manifest& m, const scenario::ScenarioConfig& base)
                           "' has no values");
     }
   }
+  auto reject_owned = [&](const std::string& name) {
+    if (const auto owner = axis_owner(name); !owner.empty()) {
+      throw ManifestError("manifest '" + m.name + "': '" + name +
+                          "' is owned by the manifest key '" +
+                          std::string(owner) + "'");
+    }
+  };
+  for (const auto& [name, text] : m.overrides) reject_owned(name);
+  for (const auto& axis : m.axes) reject_owned(axis.param);
 
   // Resolve override/axis params once; parse_manifest validated the names.
   auto resolve = [&](const std::string& name) -> const scenario::Param& {

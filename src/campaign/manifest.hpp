@@ -94,17 +94,21 @@ struct Manifest {
 ///   nodes, seeds, seed_base, duration_s, flows, payload_bytes, speed_mps,
 ///   battery_j, world_m ("WxH") — plus any parameter registered in
 ///   scenario/params.hpp: a single value is an override, a comma-separated
-///   list a sweep axis. Parameters owned by the classic grid keys
-///   (power.scheme, routing.protocol, rate_pps, pause_s, nodes, seed) must
-///   use those keys.
+///   list a sweep axis. Parameters that a classic key owns (axis_owner) must
+///   use that key.
 /// Classic keys take their values in the spelling and bounds of the
 /// parameter they set (rates_pps as rate_pps, world_m as world.width_m and
-/// world.height_m, ...). Unknown or duplicate keys, malformed or
-/// out-of-bounds values raise ManifestError with the offending line number.
+/// world.height_m, flows as flows except that 0 picks default_flows, ...).
+/// Unknown or duplicate keys, malformed or out-of-bounds values raise
+/// ManifestError with the offending line number.
 Manifest parse_manifest(std::string_view text);
 
-/// The manifest key that owns registered parameter `param` as a grid axis
-/// ("schemes" for power.scheme, ...); empty when `param` is no grid axis.
+/// The manifest key that owns registered parameter `param`: a grid axis
+/// ("schemes" for power.scheme, "seeds / seed_base" for seed, ...) or a
+/// manifest scalar that expand() writes into every job ("duration_s",
+/// "world_m" for world.width_m and world.height_m, ...). Empty when `param`
+/// is free to override. Owned parameters are rejected as manifest keys,
+/// `--set` flags, Manifest::overrides and Manifest::axes.
 std::string_view axis_owner(std::string_view param);
 
 /// Reads and parses a manifest file; ManifestError on I/O failure too.
@@ -121,6 +125,9 @@ struct Job {
 
 /// Expands the grid over `base` (subsystem knobs the manifest leaves
 /// untouched come from `base`; manifest overrides and axes win over it).
+/// The parameters axis_owner names always come from the manifest: `base`'s
+/// values for them are overwritten. Throws ManifestError when an override
+/// or axis names such a parameter.
 std::vector<Job> expand(const Manifest& m,
                         const scenario::ScenarioConfig& base = {});
 

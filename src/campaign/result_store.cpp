@@ -4,6 +4,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <type_traits>
 
 #ifdef _WIN32
 #include <io.h>
@@ -12,8 +13,8 @@
 #endif
 
 #include "campaign/json.hpp"
-#include "scenario/experiment.hpp"
 #include "scenario/params.hpp"
+#include "util/assert.hpp"
 
 namespace rcast::campaign {
 
@@ -424,6 +425,83 @@ std::vector<JobRecord> load_results(const std::string& path) {
   out.reserve(by_job.size());
   for (auto& [_, rec] : by_job) out.push_back(std::move(rec));
   return out;
+}
+
+namespace {
+
+// Every averaged RunResult field, in one fixed order: add() sums through it
+// and mean() writes back through it, so a field cannot be summed but not
+// averaged (or the reverse).
+template <typename Result, typename Fn>
+void visit_averaged(Result& r, Fn&& fn) {
+  fn(r.duration_s);
+  fn(r.total_energy_j);
+  fn(r.energy_variance);
+  fn(r.energy_mean_j);
+  fn(r.energy_min_j);
+  fn(r.energy_max_j);
+  fn(r.originated);
+  fn(r.delivered);
+  fn(r.pdr_percent);
+  fn(r.avg_delay_s);
+  fn(r.delay_p50_s);
+  fn(r.delay_p90_s);
+  fn(r.avg_route_wait_s);
+  fn(r.avg_transit_s);
+  fn(r.energy_per_bit_j);
+  fn(r.control_tx);
+  fn(r.normalized_overhead);
+  fn(r.atim_tx);
+  fn(r.data_tx_attempts);
+  fn(r.overhear_commits);
+  fn(r.overhear_declines);
+  fn(r.mac_sleeps);
+  fn(r.rreq_tx);
+  fn(r.rrep_tx);
+  fn(r.rerr_tx);
+  fn(r.hello_tx);
+  for (auto& d : r.drops) fn(d);
+  fn(r.data_tx_failed);
+  fn(r.data_salvaged);
+  fn(r.dead_nodes);
+  fn(r.first_death_s);
+  fn(r.partition_time_s);
+  fn(r.events_executed);
+  for (auto& e : r.per_node_energy_j) fn(e);
+  for (auto& v : r.role_numbers) fn(v);
+}
+
+}  // namespace
+
+void RunAverager::add(const scenario::RunResult& r) {
+  if (n_ == 0) {
+    scheme_ = r.scheme;
+    nodes_ = r.per_node_energy_j.size();
+    roles_ = r.role_numbers.size();
+  }
+  RCAST_REQUIRE(r.scheme == scheme_);
+  RCAST_REQUIRE(r.per_node_energy_j.size() == nodes_);
+  RCAST_REQUIRE(r.role_numbers.size() == roles_);
+  std::size_t k = 0;
+  visit_averaged(r, [&](const auto& v) {
+    if (n_ == 0) sums_.push_back(0.0);
+    sums_[k++] += static_cast<double>(v);
+  });
+  ++n_;
+}
+
+scenario::RunResult RunAverager::mean() const {
+  RCAST_REQUIRE(n_ > 0);
+  scenario::RunResult avg;
+  avg.scheme = scheme_;
+  avg.per_node_energy_j.resize(nodes_);
+  avg.role_numbers.resize(roles_);
+  const double n = static_cast<double>(n_);
+  std::size_t k = 0;
+  visit_averaged(avg, [&](auto& v) {
+    v = static_cast<std::remove_reference_t<decltype(v)>>(sums_[k++] / n);
+  });
+  return avg;
 }
 
 void AggregateAccumulator::add(const JobRecord& rec) {

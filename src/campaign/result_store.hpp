@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "campaign/manifest.hpp"
-#include "scenario/experiment.hpp"
 #include "scenario/scenario.hpp"
 
 namespace rcast::campaign {
@@ -125,9 +124,38 @@ void for_each_result(const std::vector<std::string>& paths,
 /// (last record wins), returns records sorted by job index.
 std::vector<JobRecord> load_results(const std::string& path);
 
+/// Mean of one cell's results, fed one at a time: streaming consumers
+/// (campaign export, the serving aggregate cache, CampaignResult's
+/// average_cell) fold a cell without materializing every RunResult.
+///
+/// Every field of mean() is the mean over all results added (counters
+/// truncated to integers, vectors and the drop breakdown element-wise, the
+/// delay percentiles as the mean of each run's percentile), except:
+///   - `scheme`: a cell has one scheme; every result must carry it.
+///   - `perf`: left value-initialized (wall-clock and pool counters describe
+///     one process's run, not a cell).
+class RunAverager {
+ public:
+  /// Results of one cell must agree on the scheme and the per-node vector
+  /// lengths.
+  void add(const scenario::RunResult& r);
+
+  std::size_t count() const { return n_; }
+
+  /// Mean over everything added so far; requires count() > 0.
+  scenario::RunResult mean() const;
+
+ private:
+  std::size_t n_ = 0;
+  scenario::Scheme scheme_ = scenario::Scheme::kRcast;
+  std::size_t nodes_ = 0;  // per_node_energy_j length
+  std::size_t roles_ = 0;  // role_numbers length
+  std::vector<double> sums_;  // one per averaged field, in visit order
+};
+
 /// One aggregated cell: every seed of one grid point (identified by the
 /// seed-excluded cell digest, so extra sweep axes form distinct cells),
-/// averaged via scenario::average.
+/// averaged via RunAverager.
 struct AggregateRow {
   std::string cell;  // config_cell_digest shared by the cell's records
   scenario::Scheme scheme = scenario::Scheme::kRcast;
@@ -160,7 +188,7 @@ class AggregateAccumulator {
  private:
   struct Cell {
     AggregateRow row;
-    scenario::RunAverager acc;
+    RunAverager acc;
   };
   std::vector<Cell> cells_;                             // first-appearance order
   std::unordered_map<std::string, std::size_t> by_cell_;  // digest -> cells_ idx

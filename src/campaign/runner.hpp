@@ -1,9 +1,10 @@
 // Campaign runner: executes an expanded job list on a work-stealing worker
-// pool (one independent Simulator per job, same isolation model as
-// scenario::run_repetitions), with per-job wall-clock timeouts, failure
-// capture (a throwing job is recorded as failed, never fatal to the
+// pool (one independent Simulator per job, so each worker thread owns its
+// run's pools and allocation counters), with per-job wall-clock timeouts,
+// failure capture (a throwing job is recorded as failed, never fatal to the
 // campaign), crash-safe journaling, JSONL result persistence, and live
-// progress/ETA reporting fed by each run's PerfCounters.
+// progress/ETA reporting fed by each run's PerfCounters. It is the only
+// multi-run path: the bench binaries and examples run their grids here too.
 #pragma once
 
 #include <cstdio>
@@ -12,8 +13,7 @@
 #include <vector>
 
 #include "campaign/manifest.hpp"
-#include "campaign/result_store.hpp"  // AppendExtent
-#include "scenario/experiment.hpp"    // scenario::average
+#include "campaign/result_store.hpp"  // AppendExtent, RunAverager
 #include "scenario/scenario.hpp"
 #include "stats/live_counters.hpp"
 
@@ -84,18 +84,18 @@ struct CampaignResult {
 
   bool all_done() const { return remaining == 0 && failed == 0; }
 
-  /// Mean over every in-memory OK result whose config satisfies `pred`
-  /// (seed-ascending order, matching scenario::average over
-  /// run_repetitions). Throws if no job matches.
+  /// Mean (RunAverager) over every in-memory OK result whose config
+  /// satisfies `pred`, folded in job order (seed-ascending within a cell).
+  /// Throws if no job matches.
   template <typename Pred>
   scenario::RunResult average_cell(Pred&& pred) const {
-    std::vector<scenario::RunResult> runs;
+    RunAverager acc;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       if (outcomes[i].status == JobStatus::kOk && pred(jobs[i].cfg)) {
-        runs.push_back(outcomes[i].result);
+        acc.add(outcomes[i].result);
       }
     }
-    return scenario::average(runs);
+    return acc.mean();
   }
 };
 

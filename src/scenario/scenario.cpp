@@ -227,7 +227,7 @@ void Network::lifetime_check() {
 RunResult Network::run() {
   // Measure the event loop only (not build or summarize). The allocation
   // counter is thread-local, so concurrent runs on worker threads (see
-  // run_repetitions) each see their own bytes.
+  // campaign::run_campaign) each see their own bytes.
   util::AllocTracker::reset();
   util::AllocTracker::enable();
   const auto wall_start = std::chrono::steady_clock::now();

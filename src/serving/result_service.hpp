@@ -14,7 +14,7 @@
 // index appears in several files (or several times in one file — a torn
 // write superseded by a re-run), the last-scanned record wins, and
 // aggregates fold the winning records in job-index order through
-// scenario::RunAverager — so the CSV this service exports is byte-identical
+// campaign::RunAverager — so the CSV this service exports is byte-identical
 // to campaign::export_aggregate_csv (`rcast_campaignd export`) over the
 // merged store.
 //

@@ -5,7 +5,7 @@
 // visibility), global operator new/delete are replaced with thin malloc
 // wrappers that add the requested size to a thread-local counter whenever
 // tracking is enabled on that thread. The counters are per-thread, so
-// run_repetitions workers measure their own runs independently and without
+// campaign runner workers measure their own runs independently and without
 // synchronization. When the hook is compiled out, every call is a no-op and
 // bytes() is always 0.
 #pragma once

@@ -44,8 +44,8 @@ class Flags {
   /// Strict numeric parsing: the entire (whitespace-trimmed) string must be
   /// a finite number, otherwise nullopt. Unlike std::stod/std::stoul these
   /// never accept trailing garbage ("1.5x"), negative values sign-wrapped
-  /// into unsigned ("-3"), or empty input. Shared by env-var validation and
-  /// the campaign manifest parser.
+  /// into unsigned ("-3"), or empty input. Shared by the CLIs, the campaign
+  /// journal and the campaign manifest parser.
   static std::optional<double> parse_double(const std::string& s);
   static std::optional<std::uint64_t> parse_u64(const std::string& s);
 

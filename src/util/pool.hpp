@@ -6,7 +6,7 @@
 // std::allocate_shared) drawn from a free list, returned to it by the
 // control block's allocator when the last reference drops. Pools live in a
 // `PoolArena` owned by the Simulator — per-run, never shared across threads
-// — which is what keeps the thread-per-seed parallelism of run_repetitions
+// — which is what keeps the campaign runner's thread-per-job parallelism
 // data-race free without any locking.
 #pragma once
 

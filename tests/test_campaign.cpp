@@ -1,6 +1,7 @@
 // Campaign engine: manifest parsing/expansion, JSON round-trips, journal
-// crash tolerance, runner failure capture, and the headline guarantee —
-// an interrupted + resumed campaign produces a byte-identical aggregate.
+// crash tolerance, runner failure capture, cell averaging, the committed
+// paper grids, and the headline guarantee — an interrupted + resumed
+// campaign produces a byte-identical aggregate.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,6 +19,7 @@
 #include "campaign/result_store.hpp"
 #include "campaign/runner.hpp"
 #include "scenario/params.hpp"
+#include "util/assert.hpp"
 
 namespace rcast::campaign {
 namespace {
@@ -119,6 +121,9 @@ TEST(Manifest, RejectsBadInput) {
   EXPECT_THROW(parse_manifest("rates_pps = 2e6"), ManifestError);
   EXPECT_THROW(parse_manifest("payload_bytes = 0.5"), ManifestError);
   EXPECT_THROW(parse_manifest("world_m = 1500x0.5"), ManifestError);
+  EXPECT_THROW(parse_manifest("flows = -1"), ManifestError);
+  EXPECT_THROW(parse_manifest("flows = 2e6"), ManifestError);
+  EXPECT_EQ(parse_manifest("flows = 0").flows, 0u);  // default_flows
   try {
     parse_manifest("name = x\npauses_s = static, -3");
     ADD_FAILURE() << "negative pause accepted";
@@ -195,7 +200,7 @@ TEST(Journal, RejectsMismatchedCampaign) {
   EXPECT_THROW(Journal::open(path, "1111111111111111", 5), JournalError);
 }
 
-TEST(Runner, InMemoryCampaignMatchesRunRepetitions) {
+TEST(Runner, InMemoryCampaignMatchesSerialRuns) {
   const Manifest m = parse_manifest(kManifestText);
   RunnerOptions opt;
   opt.threads = 2;
@@ -204,16 +209,21 @@ TEST(Runner, InMemoryCampaignMatchesRunRepetitions) {
   EXPECT_EQ(res.failed, 0u);
   EXPECT_TRUE(res.all_done());
 
-  // The campaign's cell mean must equal the legacy run_repetitions mean —
-  // same seeds, same simulator, same averaging.
-  scenario::ScenarioConfig cfg = res.jobs[2].cfg;  // rcast, seed 1
-  const auto legacy =
-      scenario::average(scenario::run_repetitions(cfg, m.seeds));
+  // The campaign's cell mean must equal the same seeds run one after the
+  // other and folded in seed order, whatever order the workers finished in:
+  // same simulator, same averaging, every field.
+  const Job& rcast_seed1 = res.jobs[2];
+  RunAverager serial;
+  for (std::size_t k = 0; k < m.seeds; ++k) {
+    scenario::ScenarioConfig cfg = rcast_seed1.cfg;
+    cfg.seed = m.seed_base + k;
+    serial.add(scenario::run_scenario(cfg));
+  }
   const auto cell = res.average_cell([](const scenario::ScenarioConfig& c) {
     return c.scheme == scenario::Scheme::kRcast;
   });
-  EXPECT_DOUBLE_EQ(cell.total_energy_j, legacy.total_energy_j);
-  EXPECT_EQ(cell.delivered, legacy.delivered);
+  EXPECT_EQ(record_to_json(rcast_seed1, cell, 0.0),
+            record_to_json(rcast_seed1, serial.mean(), 0.0));
 }
 
 TEST(Runner, TimedOutJobIsFailedNotFatal) {
@@ -449,6 +459,182 @@ mac.atim_window_ms = 25, 50    # registry key, list => extra sweep axis
 odpm.rrep_timeout_s = 7.5      # registry key, scalar => override
 )";
 
+// ---------------------------------------------------------------- averager --
+
+/// A result with every field set from `k`, perf counters included. Each
+/// field is linear in k with a binary-exact coefficient, so two values of k
+/// differ in every field, and the mean of k = 1 and k = 3 is exactly the
+/// result for k = 2.
+scenario::RunResult result_at(double k) {
+  const auto u = [k](double c) { return static_cast<std::uint64_t>(c * k); };
+  scenario::RunResult r;
+  r.scheme = scenario::Scheme::kOdpm;
+  r.duration_s = 10 * k;
+  r.total_energy_j = 100 * k;
+  r.energy_variance = 3 * k;
+  r.energy_mean_j = 5 * k;
+  r.energy_min_j = 4 * k;
+  r.energy_max_j = 6 * k;
+  r.per_node_energy_j = {k, 2 * k, 7 * k};
+  r.originated = u(100);
+  r.delivered = u(90);
+  r.pdr_percent = 30 * k;
+  r.avg_delay_s = 0.5 * k;
+  r.delay_p50_s = 0.25 * k;
+  r.delay_p90_s = 0.75 * k;
+  r.avg_route_wait_s = 0.125 * k;
+  r.avg_transit_s = 0.375 * k;
+  r.energy_per_bit_j = 0.0625 * k;
+  r.control_tx = u(7);
+  r.normalized_overhead = 1.5 * k;
+  r.role_numbers = {u(2), u(4), u(8)};
+  r.atim_tx = u(11);
+  r.data_tx_attempts = u(13);
+  r.overhear_commits = u(17);
+  r.overhear_declines = u(19);
+  r.mac_sleeps = u(23);
+  r.rreq_tx = u(29);
+  r.rrep_tx = u(31);
+  r.rerr_tx = u(37);
+  r.hello_tx = u(41);
+  for (std::size_t i = 0; i < r.drops.size(); ++i) {
+    r.drops[i] = u(static_cast<double>(i + 1));
+  }
+  r.data_tx_failed = u(43);
+  r.data_salvaged = u(47);
+  r.dead_nodes = u(5);
+  r.first_death_s = 9 * k;
+  r.partition_time_s = 8 * k;
+  r.events_executed = u(1000);
+  r.perf.events_executed = u(1000);
+  r.perf.events_scheduled = u(1200);
+  r.perf.pool_hits = u(53);
+  r.perf.bytes_allocated = u(4096);
+  r.perf.wall_seconds = 0.5 * k;
+  r.perf.events_per_sec = 2000 * k;
+  return r;
+}
+
+TEST(RunAverager, EveryFieldIsTheMeanOverAllSeeds) {
+  RunAverager acc;
+  acc.add(result_at(1));
+  acc.add(result_at(3));
+  const scenario::RunResult mean = acc.mean();
+
+  scenario::RunResult expected = result_at(2);
+  expected.perf = {};  // one process's counters: left value-initialized
+  // A record holds every result field except the scheme and duration,
+  // which it takes from the job's config.
+  const Job job;
+  EXPECT_EQ(record_to_json(job, mean, 0.0),
+            record_to_json(job, expected, 0.0));
+  EXPECT_EQ(mean.scheme, expected.scheme);
+  EXPECT_EQ(mean.duration_s, expected.duration_s);
+}
+
+TEST(RunAverager, IdenticalRunsAreIdentity) {
+  scenario::ScenarioConfig cfg;
+  cfg.num_nodes = 10;
+  cfg.num_flows = 3;
+  cfg.world = {800.0, 300.0};
+  cfg.duration = 10 * sim::kSecond;
+  cfg.pause = cfg.duration;  // static
+  const scenario::RunResult r = scenario::run_scenario(cfg);
+  RunAverager acc;
+  acc.add(r);
+  acc.add(r);
+  const scenario::RunResult avg = acc.mean();
+  EXPECT_DOUBLE_EQ(avg.total_energy_j, r.total_energy_j);
+  EXPECT_DOUBLE_EQ(avg.pdr_percent, r.pdr_percent);
+  EXPECT_EQ(avg.per_node_energy_j, r.per_node_energy_j);
+  EXPECT_EQ(avg.events_executed, r.events_executed);
+}
+
+TEST(RunAverager, BlendsScalars) {
+  scenario::RunResult a, b;
+  a.total_energy_j = 10.0;
+  b.total_energy_j = 20.0;
+  a.pdr_percent = 90.0;
+  b.pdr_percent = 100.0;
+  RunAverager acc;
+  acc.add(a);
+  acc.add(b);
+  const scenario::RunResult avg = acc.mean();
+  EXPECT_DOUBLE_EQ(avg.total_energy_j, 15.0);
+  EXPECT_DOUBLE_EQ(avg.pdr_percent, 95.0);
+}
+
+TEST(RunAverager, MeanRequiresResults) {
+  EXPECT_THROW(RunAverager{}.mean(), ContractViolation);
+}
+
+TEST(RunAverager, CellResultsMustAgree) {
+  const scenario::RunResult odpm = result_at(1);
+  scenario::RunResult rcast = odpm;
+  rcast.scheme = scenario::Scheme::kRcast;
+  scenario::RunResult fewer_nodes = odpm;
+  fewer_nodes.per_node_energy_j.pop_back();
+  RunAverager acc;
+  acc.add(odpm);
+  EXPECT_THROW(acc.add(rcast), ContractViolation);
+  EXPECT_THROW(acc.add(fewer_nodes), ContractViolation);
+  EXPECT_EQ(acc.count(), 1u);
+}
+
+// ---------------------------------------------------------- paper grids --
+
+// The committed paper grids are the default and the paper-scale input of
+// the shape-check benches: each must hold every (scheme, rate, pause) cell
+// the figure sections of bench_figures query, with every seed, and nothing
+// else.
+TEST(PaperManifests, ExpandToEveryFigureCell) {
+  struct Scale {
+    const char* file;
+    std::size_t jobs, nodes, flows, seeds;
+    double duration_s, mobile_pause_s;
+    std::vector<double> rates;
+  };
+  const Scale scales[] = {
+      {"paper_reduced.manifest", 54, 60, 12, 3, 150.0, 75.0, {0.4, 1.0, 2.0}},
+      {"paper_full.manifest", 360, 100, 20, 10, 1125.0, 600.0,
+       {0.2, 0.4, 0.8, 1.2, 1.6, 2.0}},
+  };
+  for (const Scale& s : scales) {
+    SCOPED_TRACE(s.file);
+    const Manifest m =
+        parse_manifest_file(std::string(RCAST_BENCH_DIR) + "/" + s.file);
+    const std::vector<Job> jobs = expand(m);
+    ASSERT_EQ(jobs.size(), s.jobs);
+    // Figs. 6-8 sweep every rate; Figs. 5 and 9 read 0.4 and 2.0 of them.
+    EXPECT_EQ(m.rates_pps, s.rates);
+    for (const auto scheme : {scenario::Scheme::k80211,
+                              scenario::Scheme::kOdpm,
+                              scenario::Scheme::kRcast}) {
+      for (const double rate : s.rates) {
+        for (const double pause_s : {s.mobile_pause_s, s.duration_s}) {
+          std::size_t seeds = 0;
+          for (const Job& job : jobs) {
+            const scenario::ScenarioConfig& c = job.cfg;
+            if (c.scheme != scheme || c.rate_pps != rate ||
+                c.pause != sim::from_seconds(pause_s)) {
+              continue;
+            }
+            EXPECT_EQ(c.routing, scenario::RoutingProtocol::kDsr);
+            EXPECT_EQ(c.num_nodes, s.nodes);
+            EXPECT_EQ(c.num_flows, s.flows);
+            EXPECT_EQ(c.duration, sim::from_seconds(s.duration_s));
+            EXPECT_GE(c.seed, 1u);
+            EXPECT_LE(c.seed, s.seeds);
+            ++seeds;
+          }
+          EXPECT_EQ(seeds, s.seeds) << scenario::to_string(scheme) << " r"
+                                    << rate << " p" << pause_s;
+        }
+      }
+    }
+  }
+}
+
 TEST(Manifest, RegistryKeysBecomeOverridesAndAxes) {
   const Manifest m = parse_manifest(kNestedManifestText);
   ASSERT_EQ(m.overrides.size(), 1u);
@@ -497,6 +683,32 @@ TEST(Manifest, RejectsAxisOwnedAndInvalidRegistryKeys) {
   EXPECT_THROW(parse_manifest("rcast.estimator = warpdrive"), ManifestError);
   // Unknown dotted names are still unknown keys.
   EXPECT_THROW(parse_manifest("mac.bogus_knob = 1"), ManifestError);
+
+  // expand() writes the manifest scalars into every job, so their
+  // parameters are owned too: as keys, overrides or axes they would be
+  // silently overwritten.
+  try {
+    parse_manifest("name = x\nworld.width_m = 400\n");
+    ADD_FAILURE() << "world.width_m is owned by world_m";
+  } catch (const ManifestError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("'world_m'"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(parse_manifest("world.height_m = 100, 200"), ManifestError);
+  for (const char* param : {"flows", "duration_s", "payload_bytes",
+                            "speed_mps", "battery_j", "world.width_m",
+                            "world.height_m"}) {
+    EXPECT_FALSE(axis_owner(param).empty()) << param;
+    const std::string value = scenario::param_text({}, param);
+    Manifest overridden;
+    overridden.overrides = {{param, value}};
+    EXPECT_THROW(expand(overridden), ManifestError) << param;
+    Manifest swept;
+    swept.axes = {{param, {value, value}}};
+    EXPECT_THROW(expand(swept), ManifestError) << param;
+  }
 }
 
 TEST(Manifest, FlowFallbackClampsToOneFlow) {

@@ -357,6 +357,24 @@ TEST(Campaignd, MalformedCountsExitBeforeTouchingOut) {
   EXPECT_TRUE(fs::is_empty(out_dir));
 }
 
+// Expansion writes the manifest's own scalars into every job, so a --set
+// of a parameter a manifest key owns would be silently lost: it exits 2
+// before anything is written.
+TEST(Campaignd, SetOfManifestOwnedParamExitsBeforeTouchingOut) {
+  TempDir dir;
+  const std::string manifest = write_manifest(dir);
+  const std::string out_dir = dir.file("never_created");
+  for (const char* set : {"--set duration_s=3", "--set battery_j=50",
+                          "--set world.width_m=400"}) {
+    EXPECT_EQ(run("timeout -k 5 60 " + kDaemon + " run " + manifest +
+                  " --out=" + out_dir + " --shards=1 " + set +
+                  " 2>/dev/null"),
+              2)
+        << set;
+  }
+  EXPECT_FALSE(fs::exists(out_dir));
+}
+
 TEST(Campaignd, KilledWorkerResumesByteIdentical) {
   TempDir dir;
   const std::string manifest = write_manifest(dir);

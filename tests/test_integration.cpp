@@ -2,7 +2,6 @@
 // small networks where they must already hold.
 #include <gtest/gtest.h>
 
-#include "scenario/experiment.hpp"
 #include "scenario/scenario.hpp"
 
 namespace rcast::scenario {

@@ -153,6 +153,7 @@ TEST(ParamRegistry, BoundsAndGarbageAreRejected) {
 }
 
 const std::string kSim = RCAST_SIM_PATH;
+const std::string kEnergySurvey = RCAST_ENERGY_SURVEY_PATH;
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -161,15 +162,16 @@ std::string read_file(const std::string& path) {
   return buf.str();
 }
 
-/// Runs rcast_sim with `args`; returns its exit code (-1 if it did not exit
-/// normally) and what it printed to stderr.
-std::pair<int, std::string> run_sim(const std::string& args) {
+/// Runs `exe` (rcast_sim by default) with `args`; returns its exit code (-1
+/// if it did not exit normally) and what it printed to stderr.
+std::pair<int, std::string> run_sim(const std::string& args,
+                                    const std::string& exe = kSim) {
   TempDir dir;
   const std::string err = dir.file("stderr.txt");
   // timeout: a value that is wrongly accepted must fail the test, not hang
   // it (the run it starts may never end).
   const std::string cmd =
-      "timeout -k 5 60 " + kSim + " " + args + " >/dev/null 2>" + err;
+      "timeout -k 5 60 " + exe + " " + args + " >/dev/null 2>" + err;
   const int rc = std::system(cmd.c_str());
   const int code = rc != -1 && WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
   return {code, read_file(err)};
@@ -242,6 +244,21 @@ TEST(ParamRegistryCli, RcastSimFlagsAreBoundedByTheRegistry) {
   // The default of nodes/5 flows is clamped to one, as in a manifest, so
   // a network under five nodes still runs.
   EXPECT_EQ(run_sim("--nodes=3 --seconds=1").first, 0);
+}
+
+// energy_survey turns its flags into a campaign manifest, so the manifest
+// parser and the parameter each flag sets bound every value.
+TEST(ParamRegistryCli, EnergySurveyFlagsAreBoundedByTheRegistry) {
+  for (const auto& [flag, message] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"--seeds=0", "seeds: must be >= 1"},
+           {"--nodes=1", "nodes: out of range"},
+           {"--flows=-1", "flows: not a non-negative integer"},
+           {"--seconds=-5", "duration_s: out of range"}}) {
+    const auto [code, err] = run_sim(flag, kEnergySurvey);
+    EXPECT_EQ(code, 2) << flag;
+    EXPECT_NE(err.find(message), std::string::npos) << flag << ": " << err;
+  }
 }
 
 // --- Digest coverage --------------------------------------------------------

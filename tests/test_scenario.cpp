@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "scenario/experiment.hpp"
 #include "scenario/policy_registry.hpp"
 #include "scenario/scenario.hpp"
 
@@ -123,95 +122,6 @@ TEST(Scenario, OverrideOhMapHonored) {
 TEST(Scenario, RcastSchemeActuallyRandomizes) {
   const RunResult r = run_scenario(small_cfg(Scheme::kRcast));
   EXPECT_GT(r.overhear_commits + r.overhear_declines, 0u);
-}
-
-// --- experiment helpers ------------------------------------------------------
-
-TEST(Experiment, RunRepetitionsVariesSeeds) {
-  auto cfg = small_cfg(Scheme::kRcast);
-  cfg.num_nodes = 10;
-  cfg.num_flows = 3;
-  cfg.duration = 10 * sim::kSecond;
-  const auto runs = run_repetitions(cfg, 3, 3);
-  ASSERT_EQ(runs.size(), 3u);
-  EXPECT_NE(runs[0].total_energy_j, runs[1].total_energy_j);
-  EXPECT_NE(runs[1].total_energy_j, runs[2].total_energy_j);
-}
-
-TEST(Experiment, RunRepetitionsMatchesSerialRuns) {
-  auto cfg = small_cfg(Scheme::kOdpm);
-  cfg.num_nodes = 10;
-  cfg.num_flows = 3;
-  cfg.duration = 10 * sim::kSecond;
-  const auto parallel_runs = run_repetitions(cfg, 2, 2);
-  auto c0 = cfg;
-  c0.seed = cfg.seed;
-  auto c1 = cfg;
-  c1.seed = cfg.seed + 1;
-  EXPECT_DOUBLE_EQ(parallel_runs[0].total_energy_j,
-                   run_scenario(c0).total_energy_j);
-  EXPECT_DOUBLE_EQ(parallel_runs[1].total_energy_j,
-                   run_scenario(c1).total_energy_j);
-}
-
-TEST(Experiment, AverageOfIdenticalRunsIsIdentity) {
-  auto cfg = small_cfg(Scheme::kRcast);
-  cfg.num_nodes = 10;
-  cfg.num_flows = 3;
-  cfg.duration = 10 * sim::kSecond;
-  const RunResult r = run_scenario(cfg);
-  const RunResult avg = average({r, r});
-  EXPECT_DOUBLE_EQ(avg.total_energy_j, r.total_energy_j);
-  EXPECT_DOUBLE_EQ(avg.pdr_percent, r.pdr_percent);
-  EXPECT_EQ(avg.per_node_energy_j, r.per_node_energy_j);
-}
-
-TEST(Experiment, AverageBlendsScalars) {
-  RunResult a, b;
-  a.total_energy_j = 10.0;
-  b.total_energy_j = 20.0;
-  a.pdr_percent = 90.0;
-  b.pdr_percent = 100.0;
-  const RunResult avg = average({a, b});
-  EXPECT_DOUBLE_EQ(avg.total_energy_j, 15.0);
-  EXPECT_DOUBLE_EQ(avg.pdr_percent, 95.0);
-}
-
-TEST(Experiment, AverageRequiresRuns) {
-  EXPECT_THROW(average({}), ContractViolation);
-}
-
-TEST(Experiment, FormatHelpers) {
-  EXPECT_EQ(fmt(3.14159, 8, 2), "    3.14");
-  EXPECT_EQ(fmt(std::uint64_t{42}, 5), "   42");
-  EXPECT_EQ(fmt(std::string("x"), 3), "  x");
-}
-
-TEST(Experiment, BenchScaleDefaults) {
-  ::unsetenv("RCAST_FULL");
-  ::unsetenv("RCAST_DURATION_S");
-  ::unsetenv("RCAST_REPS");
-  const auto s = BenchScale::from_env();
-  EXPECT_FALSE(s.full);
-  EXPECT_EQ(s.duration, 150 * sim::kSecond);
-  EXPECT_EQ(s.num_nodes, 60u);
-  ::setenv("RCAST_FULL", "1", 1);
-  const auto f = BenchScale::from_env();
-  EXPECT_TRUE(f.full);
-  EXPECT_EQ(f.duration, 1125 * sim::kSecond);
-  EXPECT_EQ(f.num_nodes, 100u);
-  EXPECT_EQ(f.repetitions, 10u);
-  ::unsetenv("RCAST_FULL");
-}
-
-TEST(Experiment, BenchScaleEnvOverrides) {
-  ::setenv("RCAST_DURATION_S", "60", 1);
-  ::setenv("RCAST_REPS", "2", 1);
-  const auto s = BenchScale::from_env();
-  EXPECT_EQ(s.duration, 60 * sim::kSecond);
-  EXPECT_EQ(s.repetitions, 2u);
-  ::unsetenv("RCAST_DURATION_S");
-  ::unsetenv("RCAST_REPS");
 }
 
 }  // namespace

@@ -422,31 +422,6 @@ TEST(ResultStore, ScanResultJobFastPath) {
   EXPECT_THROW(campaign::scan_result_job("{\"v\":2}"), std::exception);
 }
 
-// --------------------------------------------------------------- averager --
-
-TEST(RunAverager, MatchesAverage) {
-  std::vector<scenario::RunResult> runs;
-  for (std::size_t i = 0; i < 7; ++i) runs.push_back(synth_result(i));
-
-  scenario::RunAverager acc;
-  for (const auto& r : runs) acc.add(r);
-  const scenario::RunResult a = acc.mean();
-  const scenario::RunResult b = scenario::average(runs);
-
-  // Bit identity, not approximate equality: the accumulator must fold in
-  // the same order with the same arithmetic.
-  EXPECT_EQ(a.pdr_percent, b.pdr_percent);
-  EXPECT_EQ(a.total_energy_j, b.total_energy_j);
-  EXPECT_EQ(a.avg_delay_s, b.avg_delay_s);
-  EXPECT_EQ(a.originated, b.originated);
-  EXPECT_EQ(a.delivered, b.delivered);
-  EXPECT_EQ(a.control_tx, b.control_tx);
-  ASSERT_EQ(a.per_node_energy_j.size(), b.per_node_energy_j.size());
-  for (std::size_t i = 0; i < a.per_node_energy_j.size(); ++i) {
-    EXPECT_EQ(a.per_node_energy_j[i], b.per_node_energy_j[i]);
-  }
-}
-
 // ---------------------------------------------------------------- journal --
 
 TEST(Journal, SyncEveryBatchesButKeepsEverySetting) {

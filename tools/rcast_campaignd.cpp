@@ -784,7 +784,7 @@ int main(int argc, char** argv) {
     }
     const std::string key = kv.substr(0, eq);
     if (const auto owner = campaign::axis_owner(key); !owner.empty()) {
-      std::fprintf(stderr, "--set %s: a grid axis; use the manifest's '%s'\n",
+      std::fprintf(stderr, "--set %s: owned by the manifest key '%s'\n",
                    key.c_str(), std::string(owner).c_str());
       return 2;
     }

@@ -16,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "scenario/experiment.hpp"
 #include "scenario/params.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/scheme.hpp"

@@ -9,7 +9,8 @@
 #   sanitizers   optional RCAST_SANITIZE value (e.g. "address,undefined");
 #                sanitized runs skip the benchmark pass.
 #   ctest-filter optional ctest -R regex; CI's TSan leg uses it to run just
-#                the multi-threaded suites (campaign runner, repetitions).
+#                the multi-threaded suites (campaign runner, serving, sharded
+#                executor, ...).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
