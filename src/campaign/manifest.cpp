@@ -270,11 +270,11 @@ std::string registry_digest(const scenario::ScenarioConfig& cfg,
 }  // namespace
 
 std::string config_digest(const scenario::ScenarioConfig& cfg) {
-  return registry_digest(cfg, "cfg/v3", /*with_seed=*/true);
+  return registry_digest(cfg, "cfg/v4", /*with_seed=*/true);
 }
 
 std::string config_cell_digest(const scenario::ScenarioConfig& cfg) {
-  return registry_digest(cfg, "cell/v3", /*with_seed=*/false);
+  return registry_digest(cfg, "cell/v4", /*with_seed=*/false);
 }
 
 std::vector<Job> expand(const Manifest& m, const scenario::ScenarioConfig& base) {

@@ -179,6 +179,47 @@ std::string record_to_json(const Job& job, const scenario::RunResult& r,
 
 namespace {
 
+// Parameters retired with cfg/v4 (the clustered family and the lifetime
+// check period), each with the value this build hard-wires: a token for
+// enums, a number otherwise. Records written before cfg/v4 carry all of
+// them; one that sets any to another value describes a run this build
+// cannot simulate, and loading it would fold it into a paper cell.
+struct RetiredParam {
+  std::string_view name;
+  std::string_view token;  // empty for numeric parameters
+  double number;
+};
+constexpr RetiredParam kRetiredParams[] = {
+    {"mobility.model", "rwp", 0},       {"traffic.pattern", "cbr", 0},
+    {"cluster.round_s", {}, 20},        {"cluster.ch_fraction", {}, 0.05},
+    {"rpgm.group_size", {}, 4},         {"rpgm.span_m", {}, 100},
+    {"rpgm.span_rate_mps", {}, 2},      {"traffic.burst_rate_pps", {}, 0.05},
+    {"traffic.burst_size", {}, 5},      {"traffic.burst_spacing_ms", {}, 10},
+    {"lifetime.check_interval_s", {}, 1},
+};
+
+void reject_retired_values(std::size_t job, const json::Value& cfg) {
+  auto number = [](double d) { return scenario::ParamValue::of(d).pretty(); };
+  for (const RetiredParam& p : kRetiredParams) {
+    const json::Value* member = cfg.find(std::string(p.name));
+    if (member == nullptr) continue;
+    const bool numeric = p.token.empty();
+    if (numeric ? member->is_number() && member->as_double() == p.number
+                : member->is_string() &&
+                      scenario::detail::iequals(member->as_string(), p.token)) {
+      continue;
+    }
+    const std::string got = member->is_string()   ? member->as_string()
+                            : member->is_number() ? number(member->as_double())
+                                                  : "a non-scalar value";
+    throw ResultStoreError(
+        "record job " + std::to_string(job) + ": config." +
+        std::string(p.name) + " = " + got +
+        " belongs to a retired model (this build runs only " +
+        (numeric ? number(p.number) : std::string(p.token)) + ")");
+  }
+}
+
 JobRecord record_from_json(const json::Value& v) {
   JobRecord rec;
   rec.job = static_cast<std::size_t>(v.at("job").as_u64());
@@ -190,10 +231,11 @@ JobRecord record_from_json(const json::Value& v) {
   // parameter present in the record's "config" object is applied; absent
   // keys keep their defaults (records always carry the full set since v2).
   const json::Value& cfg = v.at("config");
+  reject_retired_values(rec.job, cfg);
   for (const scenario::Param& p : scenario::param_registry()) {
     const json::Value* member = cfg.find(std::string(p.name));
-    // Records written before the policy-registry split (digest v3) stored
-    // the enum axes under bare keys; read those as a fallback.
+    // Records written before digest v3 stored the enum axes under bare
+    // keys; read those as a fallback.
     if (member == nullptr && p.name == "power.scheme") {
       member = cfg.find("scheme");
     }
@@ -220,8 +262,8 @@ JobRecord record_from_json(const json::Value& v) {
       }
       p.set(rec.cfg, value);
     } catch (const scenario::ParamError& e) {
-      throw ResultStoreError("record config." + std::string(p.name) + ": " +
-                             e.what());
+      throw ResultStoreError("record job " + std::to_string(rec.job) +
+                             ": config." + e.what());
     }
   }
 
@@ -519,8 +561,6 @@ void AggregateAccumulator::add(const JobRecord& rec) {
     row.cell = std::move(cell);
     row.scheme = cfg.scheme;
     row.routing = cfg.routing;
-    row.mobility = cfg.mobility_model;
-    row.traffic = cfg.traffic_pattern;
     row.nodes = cfg.num_nodes;
     row.flows = cfg.num_flows;
     row.rate_pps = cfg.rate_pps;
@@ -555,6 +595,8 @@ std::string export_aggregate_csv(const std::vector<std::string>& paths) {
 }
 
 std::string aggregate_csv(const std::vector<AggregateRow>& rows) {
+  // The mobility and traffic columns predate cfg/v4, since which every run
+  // is random waypoint with CBR flows.
   std::string out =
       "scheme,routing,mobility,traffic,nodes,flows,rate_pps,pause_s,"
       "duration_s,seeds,pdr_pct,energy_j,energy_var,energy_mean_j,"
@@ -565,11 +607,10 @@ std::string aggregate_csv(const std::vector<AggregateRow>& rows) {
     const auto& m = row.mean;
     std::snprintf(
         buf, sizeof(buf),
-        "%s,%s,%s,%s,%zu,%zu,%.3f,%.1f,%.1f,%zu,%.2f,%.1f,%.1f,%.1f,%.6g,"
+        "%s,%s,rwp,cbr,%zu,%zu,%.3f,%.1f,%.1f,%zu,%.2f,%.1f,%.1f,%.1f,%.6g,"
         "%.4f,%.3f,%llu,%llu,%zu,%.1f,%.1f\n",
         std::string(scenario::to_string(row.scheme)).c_str(),
-        std::string(scenario::to_string(row.routing)).c_str(),
-        row.mobility.c_str(), row.traffic.c_str(), row.nodes,
+        std::string(scenario::to_string(row.routing)).c_str(), row.nodes,
         row.flows, row.rate_pps, row.pause_s, row.duration_s, row.seeds,
         m.pdr_percent, m.total_energy_j, m.energy_variance, m.energy_mean_j,
         m.energy_per_bit_j, m.avg_delay_s, m.normalized_overhead,

@@ -160,8 +160,6 @@ struct AggregateRow {
   std::string cell;  // config_cell_digest shared by the cell's records
   scenario::Scheme scheme = scenario::Scheme::kRcast;
   scenario::RoutingProtocol routing = scenario::RoutingProtocol::kDsr;
-  std::string mobility;  // mobility.model registry name
-  std::string traffic;   // traffic.pattern registry name
   std::size_t nodes = 0;
   std::size_t flows = 0;
   double rate_pps = 0.0;

@@ -618,12 +618,6 @@ void Mac::handle_ack(const MacFrame& frame) {
 }
 
 void Mac::handle_data(const MacFrame& frame) {
-  // Policy-control payloads terminate here: the power policy already saw the
-  // frame in on_frame_decoded, and the routing layer must never receive a
-  // datagram that is not one of its own packet types.
-  const bool deliverable =
-      callbacks_ != nullptr &&
-      !(frame.datagram != nullptr && frame.datagram->policy_private());
   if (frame.dst == id()) {
     send_response(FrameKind::kAck, frame.src);  // ACK even duplicates
     if (duplicate_filter(frame.src, frame.seq)) {
@@ -631,7 +625,9 @@ void Mac::handle_data(const MacFrame& frame) {
       return;
     }
     ++stats_.data_delivered;
-    if (deliverable) callbacks_->mac_deliver(frame.datagram, frame.src);
+    if (callbacks_ != nullptr) {
+      callbacks_->mac_deliver(frame.datagram, frame.src);
+    }
     return;
   }
   if (frame.dst == kBroadcastId) {
@@ -640,13 +636,15 @@ void Mac::handle_data(const MacFrame& frame) {
       return;
     }
     ++stats_.data_delivered;
-    if (deliverable) callbacks_->mac_deliver(frame.datagram, frame.src);
+    if (callbacks_ != nullptr) {
+      callbacks_->mac_deliver(frame.datagram, frame.src);
+    }
     return;
   }
   // Someone else's unicast, decoded while awake: the overhearing tap.
   if (duplicate_filter(frame.src, frame.seq)) return;
   ++stats_.data_overheard;
-  if (deliverable) {
+  if (callbacks_ != nullptr) {
     callbacks_->mac_overhear(frame.datagram, frame.src, frame.dst);
   }
 }

@@ -47,11 +47,6 @@ enum class FrameKind : std::uint8_t {
 struct NetDatagram {
   virtual ~NetDatagram() = default;
   virtual std::int64_t size_bits() const = 0;
-  /// Policy-control payloads (e.g. cluster-head announcements) ride the MAC
-  /// data path but must not surface to the routing layer, which casts
-  /// delivered datagrams to its own packet types. The MAC drops them after
-  /// the power policy has seen the frame via on_frame_decoded.
-  virtual bool policy_private() const { return false; }
 };
 
 using NetDatagramPtr = std::shared_ptr<const NetDatagram>;

@@ -17,7 +17,7 @@ namespace {
 // ScenarioConfig and every subconfig it embeds. Adding a field to any of
 // these structs changes its size and fails the completeness check until a
 // descriptor is registered and the fence updated (DESIGN.md §11).
-constexpr std::size_t kScenarioConfigSize = 752;
+constexpr std::size_t kScenarioConfigSize = 616;
 constexpr std::size_t kMacConfigSize = 112;
 constexpr std::size_t kDsrConfigSize = 80;
 constexpr std::size_t kAodvConfigSize = 80;
@@ -25,8 +25,6 @@ constexpr std::size_t kOdpmConfigSize = 32;
 constexpr std::size_t kRcastConfigSize = 104;
 constexpr std::size_t kPowerTableSize = 32;
 constexpr std::size_t kRouteCacheConfigSize = 16;
-constexpr std::size_t kClusterConfigSize = 16;
-constexpr std::size_t kSensingConfigSize = 24;
 
 // Times are stored as sim::Time (integer nanoseconds) but exposed as doubles
 // in the unit the parameter name states. llround (not static_cast) so that
@@ -183,7 +181,7 @@ std::vector<Param> build_registry() {
        0.0,
        0.0,
        true,
-       {"80211", "PSM-NONE", "PSM-ALL", "ODPM", "RCAST", "RCAST-BC", "LEACH"},
+       {"80211", "PSM-NONE", "PSM-ALL", "ODPM", "RCAST", "RCAST-BC"},
        [](const ScenarioConfig& c) {
          return ParamValue::of(to_string(c.scheme));
        },
@@ -202,34 +200,6 @@ std::vector<Param> build_registry() {
        },
        [](ScenarioConfig& c, const ParamValue& v) {
          c.routing = *routing_from_string(v.token);
-       }},
-      {"mobility.model",
-       ParamType::kEnum,
-       "Mobility model registry entry (rwp = random waypoint, rpgm = "
-       "reference-point group mobility)",
-       0.0,
-       0.0,
-       true,
-       {"rwp", "rpgm"},
-       [](const ScenarioConfig& c) {
-         return ParamValue::of(std::string_view(c.mobility_model));
-       },
-       [](ScenarioConfig& c, const ParamValue& v) {
-         c.mobility_model = v.token;
-       }},
-      {"traffic.pattern",
-       ParamType::kEnum,
-       "Traffic pattern registry entry (cbr = paper's flow matrix, sensing = "
-       "periodic reports to a sink plus Poisson event bursts)",
-       0.0,
-       0.0,
-       true,
-       {"cbr", "sensing"},
-       [](const ScenarioConfig& c) {
-         return ParamValue::of(std::string_view(c.traffic_pattern));
-       },
-       [](ScenarioConfig& c, const ParamValue& v) {
-         c.traffic_pattern = v.token;
        }},
       PD("battery_j", c.battery_joules, 0, 1e12,
          "Initial battery energy per node (J); 0 = infinite (paper)"),
@@ -413,26 +383,6 @@ std::vector<Param> build_registry() {
          "Broadcast extension: receive probability = max(floor, scale/N)"),
       PB("rcast.oracle_neighbors", c.rcast_oracle_neighbors,
          "P_R = 1/N uses the true topology neighbor count (paper semantics)"),
-
-      // --- clustered family (LEACH-style scheme + RPGM + sensing) -----------
-      PT("cluster.round_s", c.cluster.round, s, 0.1, 1e6,
-         "LEACH cluster-head rotation period (s)"),
-      PD("cluster.ch_fraction", c.cluster.ch_fraction, 1e-4, 1,
-         "LEACH target fraction of nodes electing themselves head per round"),
-      PU("rpgm.group_size", c.rpgm_group_size, std::size_t, 1, 1e6,
-         "RPGM nodes per reference-point group (consecutive ids)"),
-      PD("rpgm.span_m", c.rpgm_span_m, 0, 1e5,
-         "RPGM member offset bound around the group reference point (m)"),
-      PD("rpgm.span_rate_mps", c.rpgm_span_rate_mps, 0, 1000,
-         "RPGM maximum member drift speed relative to the reference (m/s)"),
-      PD("traffic.burst_rate_pps", c.sensing.burst_rate_pps, 0, 1e6,
-         "sensing pattern: Poisson event-burst arrival rate (bursts/s)"),
-      PU("traffic.burst_size", c.sensing.burst_size, std::uint64_t, 1, 1e6,
-         "sensing pattern: packets per event burst"),
-      PT("traffic.burst_spacing_ms", c.sensing.burst_spacing, ms, 0.01, 1e6,
-         "sensing pattern: intra-burst packet spacing (ms)"),
-      PT("lifetime.check_interval_s", c.lifetime_check_interval, s, 0, 1e6,
-         "Finite-battery runs: partition-check period (s); 0 = disabled"),
   };
   return reg;
 }
@@ -642,9 +592,8 @@ std::string params_markdown() {
     std::string range = p.range_text();
     // '|' is the enum token separator and the markdown cell separator.
     for (std::size_t i = 0; (i = range.find('|', i)) != std::string::npos;
-         i += 6) {
+         i += 2) {
       range.replace(i, 1, "\\|");
-      i += 1;
     }
     out += "| `" + std::string(p.name) + "` | " + std::string(to_string(p.type)) +
            " | `" + p.default_value().pretty() + "` | " + range + " | " +
@@ -730,10 +679,6 @@ std::vector<std::string> registry_self_check() {
       {"energy::PowerTable", sizeof(energy::PowerTable), kPowerTableSize},
       {"routing::RouteCacheConfig", sizeof(routing::RouteCacheConfig),
        kRouteCacheConfigSize},
-      {"power::ClusterConfig", sizeof(power::ClusterConfig),
-       kClusterConfigSize},
-      {"traffic::SensingConfig", sizeof(traffic::SensingConfig),
-       kSensingConfigSize},
   };
   for (const auto& f : fences) {
     if (f.actual != f.expected) {

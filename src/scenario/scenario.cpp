@@ -5,7 +5,9 @@
 #include <cmath>
 #include <thread>
 
-#include "scenario/policy_registry.hpp"
+#include "mobility/random_waypoint.hpp"
+#include "power/always_on.hpp"
+#include "power/psm_policy.hpp"
 #include "sim/sharded_executor.hpp"
 #include "util/alloc_tracker.hpp"
 #include "util/assert.hpp"
@@ -13,6 +15,9 @@
 namespace rcast::scenario {
 
 namespace {
+
+// Period of the finite-battery lifetime monitor (first partition instant).
+constexpr sim::Time kLifetimeCheckInterval = 1 * sim::kSecond;
 
 std::size_t effective_shards(const ScenarioConfig& cfg) {
   std::uint64_t k = cfg.sim_shards;
@@ -51,10 +56,8 @@ Node::Node(sim::Simulator& simulator, phy::Channel& channel,
   phy_ = std::make_unique<phy::Phy>(simulator, channel, id, meter_.get());
   phy_->set_telemetry(bus);
 
-  const PowerPolicyEntry& pe =
-      power_policies().resolve(to_string(cfg.scheme));
   mac::MacConfig mac_cfg = cfg.mac;
-  mac_cfg.psm_enabled = pe.uses_psm;
+  mac_cfg.psm_enabled = uses_psm(cfg.scheme);
   Rng mac_rng = rng.fork(0xAC);
   if (cfg.sync_jitter > 0) {
     mac_cfg.beacon_offset = static_cast<sim::Time>(
@@ -63,13 +66,50 @@ Node::Node(sim::Simulator& simulator, phy::Channel& channel,
   mac_ = std::make_unique<mac::Mac>(simulator, *phy_, mac_cfg, mac_rng);
   mac_->set_telemetry(bus);
 
-  policy_ = pe.make(PowerPolicyContext{simulator, channel, *mac_, cfg, id,
-                                       rng, meter_.get(), bus});
+  // The policy and the routing agent fork `rng` in this order, each with its
+  // own salt, so schemes that draw do not perturb each other's streams.
+  switch (cfg.scheme) {
+    case Scheme::k80211:
+      policy_ = std::make_unique<power::AlwaysOnPolicy>();
+      break;
+    case Scheme::kPsmNone:
+    case Scheme::kPsmAll:
+      policy_ = std::make_unique<power::PsmPolicy>();
+      break;
+    case Scheme::kOdpm: {
+      auto odpm = std::make_unique<power::OdpmPolicy>(cfg.odpm);
+      odpm->set_telemetry(bus, id);
+      policy_ = std::move(odpm);
+      break;
+    }
+    case Scheme::kRcast:
+    case Scheme::kRcastBcast: {
+      core::RcastConfig rc = cfg.rcast;
+      if (cfg.rcast_oracle_neighbors && !rc.neighbor_count_fn) {
+        rc.neighbor_count_fn = [&channel, id] {
+          return channel.neighbor_count(id);
+        };
+      }
+      policy_ = std::make_unique<core::RcastPolicy>(rc, rng.fork(0x5C),
+                                                    meter_.get());
+      break;
+    }
+  }
   mac_->set_power_policy(policy_.get());
 
-  const RoutingEntry& re =
-      routing_protocols().resolve(to_string(cfg.routing));
-  agent_ = re.make(RoutingContext{simulator, *mac_, cfg, rng, policy_.get()});
+  switch (cfg.routing) {
+    case RoutingProtocol::kDsr: {
+      routing::DsrConfig dsr_cfg = cfg.dsr;
+      if (!cfg.override_oh_map) dsr_cfg.oh_map = overhearing_map(cfg.scheme);
+      agent_ = std::make_unique<routing::Dsr>(simulator, *mac_, dsr_cfg,
+                                              rng.fork(0xD5), policy_.get());
+      break;
+    }
+    case RoutingProtocol::kAodv:
+      agent_ = std::make_unique<routing::Aodv>(simulator, *mac_, cfg.aodv,
+                                               rng.fork(0xA0), policy_.get());
+      break;
+  }
   mac_->start();
 }
 
@@ -107,13 +147,18 @@ Network::Network(const ScenarioConfig& cfg)
   bus_.subscribe_mac(&counters_);
   Rng root(cfg.seed);
 
-  // Mobility models, via the registry. The fork order (one child stream per
-  // node index) is part of the determinism contract.
-  const MobilityEntry& me = mobility_models().resolve(cfg.mobility_model);
+  // Random-waypoint mobility. The fork order (one child stream per node
+  // index) is part of the determinism contract.
+  mobility::RandomWaypointConfig rwp;
+  rwp.world = cfg.world;
+  rwp.max_speed_mps = std::max(cfg.max_speed_mps, 0.2);
+  rwp.min_speed_mps = std::min(0.1, rwp.max_speed_mps / 2.0);
+  rwp.pause = cfg.pause;
   Rng mob_rng = root.fork(0x30B);
   for (std::size_t i = 0; i < cfg.num_nodes; ++i) {
     mobility_.add_node(static_cast<phy::NodeId>(i),
-                       me.make(MobilityContext{cfg, i, mob_rng.fork(i)}));
+                       std::make_unique<mobility::RandomWaypointModel>(
+                           rwp, mob_rng.fork(i)));
   }
 
   // Sharded runs: home-pin every node to one of K vertical strips of the
@@ -163,28 +208,26 @@ Network::Network(const ScenarioConfig& cfg)
     fleet_.add(&nodes_.back()->meter());
   }
 
-  // Traffic, via the registry. The pattern builds every source; bind_shard
-  // routes each source's events to its node's home shard.
+  // CBR traffic. Each source is built under its node's home shard context
+  // so its events land in that shard's queue.
   Rng traffic_rng = root.fork(0x7AF1C);
-  const TrafficEntry& te = traffic_patterns().resolve(cfg.traffic_pattern);
-  sources_ = te.make(TrafficContext{
-      sim_, cfg, traffic_rng,
-      [this](phy::NodeId id) -> routing::RoutingAgent& {
-        return nodes_[id]->agent();
-      },
-      [this](phy::NodeId id) {
-        if (sim_.sharded()) sim_.set_shard_context(node_shard_[id]);
-      }});
+  const auto flows =
+      traffic::make_flow_matrix(cfg.num_nodes, cfg.num_flows, cfg.rate_pps,
+                                cfg.payload_bits, traffic_rng);
+  sources_.reserve(flows.size());
+  for (const auto& f : flows) {
+    if (sim_.sharded()) sim_.set_shard_context(node_shard_[f.src]);
+    sources_.push_back(std::make_unique<traffic::CbrSource>(
+        sim_, nodes_[f.src]->agent(), f, traffic_rng.fork(f.flow_id)));
+  }
   if (sim_.sharded()) sim_.clear_shard_context();
 
   // Finite-battery lifetime probe. Single-queue runs only: the periodic
   // event has no home shard, and lifetime studies are not sharded-scale.
-  if (cfg.battery_joules > 0.0 && cfg.lifetime_check_interval > 0 &&
-      !sim_.sharded()) {
+  if (cfg.battery_joules > 0.0 && !sim_.sharded()) {
     lifetime_timer_ = std::make_unique<sim::PeriodicTimer>(
         sim_, [this] { lifetime_check(); });
-    lifetime_timer_->start(cfg.lifetime_check_interval,
-                           cfg.lifetime_check_interval);
+    lifetime_timer_->start(kLifetimeCheckInterval, kLifetimeCheckInterval);
   }
 }
 

@@ -7,7 +7,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/rcast.hpp"
@@ -16,7 +15,6 @@
 #include "mac/mac.hpp"
 #include "mobility/mobility_manager.hpp"
 #include "phy/channel.hpp"
-#include "power/cluster.hpp"
 #include "power/odpm.hpp"
 #include "routing/aodv.hpp"
 #include "routing/dsr.hpp"
@@ -25,8 +23,6 @@
 #include "stats/metrics.hpp"
 #include "stats/telemetry.hpp"
 #include "traffic/cbr.hpp"
-#include "traffic/sensing.hpp"
-#include "traffic/traffic_source.hpp"
 
 namespace rcast::scenario {
 
@@ -66,24 +62,6 @@ struct ScenarioConfig {
   power::OdpmConfig odpm;
   energy::PowerTable power = energy::PowerTable::wavelan2();
   double battery_joules = 0.0;  // 0 = infinite (paper)
-
-  /// Mobility model registry name ("rwp" | "rpgm"); see policy_registry.hpp.
-  std::string mobility_model = "rwp";
-  /// Traffic pattern registry name ("cbr" | "sensing").
-  std::string traffic_pattern = "cbr";
-  /// LEACH-style cluster scheme knobs (power.scheme = LEACH).
-  power::ClusterConfig cluster;
-  /// Sensing traffic knobs (traffic.pattern = sensing).
-  traffic::SensingConfig sensing;
-  /// RPGM group mobility: nodes i with the same i / group_size share a
-  /// reference trajectory; members scatter within span_m of it and drift at
-  /// most span_rate_mps relative to it.
-  std::size_t rpgm_group_size = 4;
-  double rpgm_span_m = 100.0;
-  double rpgm_span_rate_mps = 2.0;
-  /// Cadence of the finite-battery lifetime monitor (first death, network
-  /// partition). Armed only when battery_joules > 0 (single-queue runs).
-  sim::Time lifetime_check_interval = 1 * sim::kSecond;
 
   /// Use the true topology neighbor count for P_R = 1/N (paper semantics);
   /// false switches to the passive neighbor table (ablation).
@@ -211,7 +189,7 @@ class Node {
   std::unique_ptr<phy::Phy> phy_;
   std::unique_ptr<mac::Mac> mac_;
   std::unique_ptr<mac::PowerPolicy> policy_;
-  std::unique_ptr<routing::RoutingAgent> agent_;  // registry-built protocol
+  std::unique_ptr<routing::RoutingAgent> agent_;  // DSR or AODV
 };
 
 /// A complete simulated network. Build, run(), then read the result.
@@ -270,7 +248,7 @@ class Network {
   std::vector<std::uint32_t> node_shard_;  // sharded runs only
   std::vector<std::unique_ptr<ShardStats>> shard_stats_;  // precede nodes_
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<std::unique_ptr<traffic::TrafficSource>> sources_;
+  std::vector<std::unique_ptr<traffic::CbrSource>> sources_;
   energy::FleetAccountant fleet_;
   bool shard_stats_merged_ = false;
   // Finite-battery lifetime monitor (single-queue runs only).

@@ -1,12 +1,14 @@
 // The communication schemes compared in the paper (plus the two PSM
-// overhearing extremes used as ablation baselines), and the canonical
+// overhearing extremes used as ablation baselines), the canonical
 // name <-> enum mapping shared by the CLI, the bench binaries, and
-// campaign manifests.
+// campaign manifests, and what each scheme asks of the MAC and DSR.
 #pragma once
 
 #include <array>
 #include <optional>
 #include <string_view>
+
+#include "core/overhearing_map.hpp"
 
 namespace rcast::scenario {
 
@@ -17,7 +19,6 @@ enum class Scheme {
   kOdpm = 3,      // On-Demand Power Management (Zheng & Kravets)
   kRcast = 4,     // RandomCast (the paper's contribution)
   kRcastBcast = 5,  // Rcast + randomized broadcast receiving (paper §5)
-  kLeach = 6,     // LEACH-style clustered duty-cycling (registry extension)
 };
 
 constexpr std::string_view to_string(Scheme s) {
@@ -34,8 +35,6 @@ constexpr std::string_view to_string(Scheme s) {
       return "RCAST";
     case Scheme::kRcastBcast:
       return "RCAST-BC";
-    case Scheme::kLeach:
-      return "LEACH";
   }
   return "?";
 }
@@ -55,10 +54,7 @@ constexpr std::string_view to_string(RoutingProtocol p) {
   return "?";
 }
 
-/// Every scheme compared in the paper's figures, in figure order. LEACH is
-/// deliberately absent: `--scheme=all` and the figure loops iterate the
-/// paper's six-way comparison, and the clustered scheme joins sweeps by
-/// explicit name (`power.scheme=[rcast,leach]`).
+/// Every scheme, in figure order (`--scheme=all`).
 inline constexpr std::array<Scheme, 6> kAllSchemes = {
     Scheme::k80211,  Scheme::kPsmNone, Scheme::kPsmAll,
     Scheme::kOdpm,   Scheme::kRcast,   Scheme::kRcastBcast,
@@ -78,14 +74,35 @@ constexpr bool iequals(std::string_view a, std::string_view b) {
 
 }  // namespace detail
 
-/// Parses a canonical scheme name ("80211", "PSM-NONE", ..., "RCAST-BC",
-/// "LEACH"), case-insensitively.
+/// Parses a canonical scheme name ("80211", "PSM-NONE", ..., "RCAST-BC"),
+/// case-insensitively.
 constexpr std::optional<Scheme> scheme_from_string(std::string_view s) {
   for (Scheme scheme : kAllSchemes) {
     if (detail::iequals(s, to_string(scheme))) return scheme;
   }
-  if (detail::iequals(s, to_string(Scheme::kLeach))) return Scheme::kLeach;
   return std::nullopt;
+}
+
+/// Whether the scheme runs IEEE 802.11 PSM (MacConfig::psm_enabled). Only
+/// plain 802.11 keeps every radio awake.
+constexpr bool uses_psm(Scheme s) { return s != Scheme::k80211; }
+
+/// The scheme's per-packet-class overhearing levels, which DSR uses unless
+/// ScenarioConfig::override_oh_map is set.
+constexpr core::OverhearingMap overhearing_map(Scheme s) {
+  switch (s) {
+    case Scheme::kPsmAll:
+      return core::OverhearingMap::psm_all();
+    case Scheme::kRcast:
+      return core::OverhearingMap::rcast();
+    case Scheme::kRcastBcast:
+      return core::OverhearingMap::rcast_with_broadcast();
+    case Scheme::k80211:
+    case Scheme::kPsmNone:
+    case Scheme::kOdpm:
+      break;
+  }
+  return core::OverhearingMap::psm_none();
 }
 
 /// Parses a routing protocol name, case-insensitively ("dsr" | "aodv").

@@ -207,6 +207,7 @@ void HttpServer::serve_connection(int fd) {
     // Request line: METHOD SP target SP version.
     HttpRequest req;
     bool close_after = false;
+    std::string repeated_key;  // first query key given twice, if any
     {
       const auto line_end = head.find("\r\n");
       const std::string line = head.substr(0, line_end);
@@ -246,12 +247,11 @@ void HttpServer::serve_connection(int fd) {
                                              : qs.substr(amp + 1);
           if (pair.empty()) continue;
           const auto eq = pair.find('=');
-          if (eq == std::string_view::npos) {
-            req.query[url_decode(pair)] = "";
-          } else {
-            req.query[url_decode(pair.substr(0, eq))] =
-                url_decode(pair.substr(eq + 1));
-          }
+          const auto [it, fresh] = req.query.try_emplace(
+              url_decode(pair.substr(0, eq)),
+              eq == std::string_view::npos ? std::string()
+                                           : url_decode(pair.substr(eq + 1)));
+          if (!fresh && repeated_key.empty()) repeated_key = it->first;
         }
       }
     }
@@ -264,6 +264,11 @@ void HttpServer::serve_connection(int fd) {
       resp.status = 405;
       resp.content_type = "text/plain";
       resp.body = "method not allowed\n";
+    } else if (!repeated_key.empty()) {
+      // A repeated key is ambiguous; no value silently wins.
+      resp.status = 400;
+      resp.content_type = "text/plain";
+      resp.body = "repeated query parameter: " + repeated_key + "\n";
     } else {
       try {
         resp = handler_(req);

@@ -27,7 +27,9 @@ class HttpError : public std::runtime_error {
 struct HttpRequest {
   std::string method;
   std::string path;                          // decoded, without query string
-  std::map<std::string, std::string> query;  // decoded key=value pairs
+  /// Decoded key=value pairs. A key given twice is answered with 400
+  /// before the handler runs.
+  std::map<std::string, std::string> query;
 };
 
 struct HttpResponse {

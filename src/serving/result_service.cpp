@@ -5,8 +5,6 @@
 #include <fstream>
 #include <unordered_set>
 
-#include "scenario/policy_registry.hpp"
-
 namespace rcast::serving {
 
 std::uint64_t digest_to_u64(std::string_view hex) {
@@ -42,10 +40,8 @@ std::size_t ResultService::index_new_lines(std::size_t file) {
     e.length = line.size();
     e.cfg_digest = digest_to_u64(rec.digest);
     e.cell_digest = digest_to_u64(campaign::config_cell_digest(cfg));
-    e.scheme = static_cast<std::size_t>(cfg.scheme);
-    e.routing = static_cast<std::size_t>(cfg.routing);
-    e.mobility = scenario::mobility_models().index_of(cfg.mobility_model);
-    e.traffic = scenario::traffic_patterns().index_of(cfg.traffic_pattern);
+    e.scheme = cfg.scheme;
+    e.routing = cfg.routing;
     e.nodes = cfg.num_nodes;
     e.flows = cfg.num_flows;
     e.rate_pps = cfg.rate_pps;

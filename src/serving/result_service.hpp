@@ -44,19 +44,16 @@ class IndexError : public std::runtime_error {
 std::uint64_t digest_to_u64(std::string_view hex);
 
 /// One indexed JSONL record. Numeric digests are the FNV-1a values whose
-/// `%016llx` renderings appear in the JSONL ("cfg_digest", cell). The enum
-/// axes are registry ordinals (policy_registry.hpp); every other coordinate
-/// keeps the config's own type.
+/// `%016llx` renderings appear in the JSONL ("cfg_digest", cell); every
+/// coordinate keeps the config's own type.
 struct IndexEntry {
   std::size_t file = 0;          // index into the service's paths
   std::uint64_t offset = 0;      // line start in the JSONL
   std::size_t length = 0;        // line length excluding '\n'
   std::uint64_t cfg_digest = 0;  // seed included (cfg/v2)
   std::uint64_t cell_digest = 0; // seed excluded (cell/v2)
-  std::size_t scheme = 0;        // power_policies() ordinal
-  std::size_t routing = 0;       // routing_protocols() ordinal
-  std::size_t mobility = 0;      // mobility_models() ordinal
-  std::size_t traffic = 0;       // traffic_patterns() ordinal
+  scenario::Scheme scheme = scenario::Scheme::kRcast;
+  scenario::RoutingProtocol routing = scenario::RoutingProtocol::kDsr;
   std::size_t nodes = 0;
   std::size_t flows = 0;
   double rate_pps = 0.0;
@@ -79,10 +76,8 @@ struct CacheStats {
 /// cell cache; all other fields are cell-constant and keep cached rows
 /// usable.
 struct AggregateFilter {
-  std::optional<std::size_t> scheme;
-  std::optional<std::size_t> routing;
-  std::optional<std::size_t> mobility;
-  std::optional<std::size_t> traffic;
+  std::optional<scenario::Scheme> scheme;
+  std::optional<scenario::RoutingProtocol> routing;
   std::optional<std::size_t> nodes;
   std::optional<std::size_t> flows;
   std::optional<double> rate_pps;
@@ -95,8 +90,6 @@ struct AggregateFilter {
   bool matches_cell(const IndexEntry& e) const {
     return (!scheme || *scheme == e.scheme) &&
            (!routing || *routing == e.routing) &&
-           (!mobility || *mobility == e.mobility) &&
-           (!traffic || *traffic == e.traffic) &&
            (!nodes || *nodes == e.nodes) && (!flows || *flows == e.flows) &&
            (!rate_pps || *rate_pps == e.rate_pps) &&
            (!pause_s || *pause_s == e.pause_s) &&

@@ -7,7 +7,6 @@
 
 #include "routing/observer.hpp"
 #include "sim/simulator.hpp"
-#include "traffic/traffic_source.hpp"
 #include "util/rng.hpp"
 
 namespace rcast::traffic {
@@ -26,12 +25,13 @@ struct CbrFlowConfig {
 
 /// Emits a packet every 1/rate seconds into the node's routing agent, starting
 /// at a random phase within the first period (decorrelates flows).
-class CbrSource : public TrafficSource {
+class CbrSource {
  public:
   CbrSource(sim::Simulator& simulator, routing::RoutingAgent& agent,
             const CbrFlowConfig& config, Rng rng);
 
-  std::uint32_t packets_sent() const override { return seq_; }
+  /// Packets handed to the routing agent so far.
+  std::uint32_t packets_sent() const { return seq_; }
   const CbrFlowConfig& config() const { return cfg_; }
 
  private:

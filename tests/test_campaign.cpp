@@ -10,7 +10,9 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
+#include <vector>
 #include <unistd.h>
 
 #include "campaign/journal.hpp"
@@ -401,9 +403,9 @@ TEST(ResultStore, RecordWithRetiredGroupHistogramStillAggregates) {
   EXPECT_EQ(export_aggregate_csv({legacy}), want);
 }
 
-// Records written before the policy-registry split (digest v3) keep the two
-// enum axes under bare "scheme"/"routing" config keys. They must load with
-// the same config and aggregate to the same CSV bytes.
+// Records written before digest v3 keep the two enum axes under bare
+// "scheme"/"routing" config keys. They must load with the same config and
+// aggregate to the same CSV bytes.
 TEST(ResultStore, PreV3SchemeAndRoutingKeysStillLoad) {
   const Manifest m = parse_manifest(kManifestText);
   const auto jobs = expand(m);
@@ -439,6 +441,84 @@ TEST(ResultStore, PreV3SchemeAndRoutingKeysStillLoad) {
     EXPECT_EQ(records[i].cfg.scheme, jobs[i].cfg.scheme) << i;
   }
   EXPECT_EQ(export_aggregate_csv({legacy}), export_aggregate_csv({current}));
+}
+
+// Records written before cfg/v4 also carry the eleven retired parameters, at
+// the positions and in the renderings used here. At the values this build
+// hard-wires they load and export exactly like current records. Any other
+// value, or the retired LEACH scheme, fails naming the job and the key,
+// instead of folding the record into a paper cell.
+TEST(ResultStore, RetiredParamsLoadOnlyAtTheirDefaults) {
+  const Manifest m = parse_manifest(kManifestText);
+  const auto jobs = expand(m);
+  const auto insert_before = [](std::string& line, std::string_view anchor,
+                                std::string_view text) {
+    const std::size_t at = line.find(anchor);
+    ASSERT_NE(at, std::string::npos) << line;
+    line.insert(at, text);
+  };
+  std::vector<std::string> current;
+  std::vector<std::string> parent;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    scenario::RunResult r;
+    r.total_energy_j = 100.0 + static_cast<double>(i);
+    r.originated = 20;
+    r.delivered = 10 + i;
+    current.push_back(record_to_json(jobs[i], r, 1.0));
+    std::string line = current.back();
+    insert_before(line, "\"battery_j\":",
+                  R"("mobility.model":"rwp","traffic.pattern":"cbr",)");
+    insert_before(
+        line, "},\"result\":",
+        R"(,"cluster.round_s":20,"cluster.ch_fraction":0.050000000000000003,)"
+        R"("rpgm.group_size":4,"rpgm.span_m":100,"rpgm.span_rate_mps":2,)"
+        R"("traffic.burst_rate_pps":0.050000000000000003,)"
+        R"("traffic.burst_size":5,"traffic.burst_spacing_ms":10,)"
+        R"("lifetime.check_interval_s":1)");
+    parent.push_back(std::move(line));
+  }
+  TempDir dir;
+  const auto write = [&](const std::string& name,
+                         const std::vector<std::string>& lines) {
+    const std::string path = dir.file(name);
+    std::ofstream out(path, std::ios::binary);
+    for (const auto& line : lines) out << line << "\n";
+    return path;
+  };
+  const std::string parent_path = write("parent.jsonl", parent);
+  const auto records = load_results(parent_path);
+  ASSERT_EQ(records.size(), jobs.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(config_digest(records[i].cfg), jobs[i].digest) << i;
+  }
+  EXPECT_EQ(export_aggregate_csv({parent_path}),
+            export_aggregate_csv({write("current.jsonl", current)}));
+
+  for (const auto& [from, to, key] :
+       std::vector<std::tuple<std::string, std::string, std::string>>{
+           {R"("mobility.model":"rwp")", R"("mobility.model":"rpgm")",
+            "config.mobility.model = rpgm"},
+           {R"("traffic.pattern":"cbr")", R"("traffic.pattern":"sensing")",
+            "config.traffic.pattern = sensing"},
+           {R"("cluster.round_s":20)", R"("cluster.round_s":10)",
+            "config.cluster.round_s = 10"},
+           {R"("power.scheme":"RCAST")", R"("power.scheme":"LEACH")",
+            "LEACH"}}) {
+    std::vector<std::string> lines = parent;
+    const std::size_t job = jobs.size() - 1;  // an RCAST job
+    const std::size_t at = lines[job].find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    lines[job].replace(at, from.size(), to);
+    try {
+      export_aggregate_csv({write("retired.jsonl", lines)});
+      ADD_FAILURE() << to << " exported";
+    } catch (const ResultStoreError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("job " + std::to_string(job)), std::string::npos)
+          << what;
+      EXPECT_NE(what.find(key), std::string::npos) << what;
+    }
+  }
 }
 
 // --- Registry-keyed manifests: nested overrides and sweep axes --------------

@@ -473,6 +473,28 @@ TEST(Campaignd, ExportStatusServeWriteNothingUnderOut) {
   const auto [status, body] = http_get(dir, port, "/aggregate");
   EXPECT_EQ(status, 200);
   EXPECT_EQ(body, read_file(csv));
+
+  // Grid filters: a scheme selects exactly its row of the export; unknown
+  // schemes get power.scheme's own message; the retired mobility/traffic
+  // keys and a repeated key are rejected.
+  const std::string exported = read_file(csv);
+  const std::size_t row = exported.find("\nRCAST,") + 1;
+  ASSERT_NE(row, 0u) << exported;
+  const std::string rcast_only =
+      exported.substr(0, exported.find('\n') + 1) +
+      exported.substr(row, exported.find('\n', row) + 1 - row);
+  EXPECT_EQ(http_get(dir, port, "/aggregate?scheme=rcast"),
+            std::make_pair(200, rcast_only));
+  const auto [bogus_status, bogus] =
+      http_get(dir, port, "/aggregate?scheme=bogus");
+  EXPECT_EQ(bogus_status, 400);
+  EXPECT_NE(bogus.find("power.scheme: unknown token (got 'bogus'; expected "
+                       "80211|PSM-NONE|PSM-ALL|ODPM|RCAST|RCAST-BC)"),
+            std::string::npos)
+      << bogus;
+  EXPECT_EQ(http_get(dir, port, "/aggregate?mobility.model=rwp").first, 400);
+  EXPECT_EQ(http_get(dir, port, "/aggregate?scheme=rcast&scheme=odpm").first,
+            400);
   ::kill(pid, SIGTERM);
   EXPECT_NE(wait_for_exit(pid, std::chrono::seconds(10)), -1);
 

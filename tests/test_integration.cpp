@@ -209,6 +209,27 @@ TEST(Integration, RcastExtendsLifetime) {
   EXPECT_LT(r.dead_nodes, cfg_rcast.num_nodes / 2);  // most of the fleet lives
 }
 
+// Finite-battery runs check the alive nodes' connectivity once per second.
+// Five static nodes scattered over 20 km x 20 km are disconnected at the
+// first check; packed into 100 m x 100 m they never are; and with an infinite
+// battery the monitor is off.
+TEST(Integration, PartitionMonitorRecordsFirstDisconnectedCheck) {
+  const auto partition_time = [](double side_m, double battery_j) {
+    ScenarioConfig cfg;
+    cfg.num_nodes = 5;
+    cfg.num_flows = 1;
+    cfg.world = {side_m, side_m};
+    cfg.duration = 5 * sim::kSecond;
+    cfg.pause = 5 * sim::kSecond;  // static
+    cfg.battery_joules = battery_j;
+    cfg.seed = 1;
+    return run_scenario(cfg).partition_time_s;
+  };
+  EXPECT_EQ(partition_time(20'000.0, 1000.0), 1.0);
+  EXPECT_EQ(partition_time(100.0, 1000.0), 0.0);
+  EXPECT_EQ(partition_time(20'000.0, 0.0), 0.0);
+}
+
 // --- Broadcast extension --------------------------------------------------------
 
 TEST(Integration, BroadcastRcastStillDiscoversRoutes) {

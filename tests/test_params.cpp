@@ -115,6 +115,24 @@ TEST(ParamRegistry, NamesAreUniqueAndLookupable) {
   EXPECT_EQ(find_param("no.such.param"), nullptr);
 }
 
+// Every row of the generated reference table has exactly five cells: each
+// '|' inside a cell (the enum token separator) is escaped.
+TEST(ParamRegistry, MarkdownRowsHaveFiveCells) {
+  std::istringstream in(params_markdown());
+  std::string line;
+  std::size_t rows = 0;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] != '|') continue;
+    std::size_t separators = 0;
+    for (std::size_t i = 0; i < line.size(); ++i) {
+      if (line[i] == '|' && (i == 0 || line[i - 1] != '\\')) ++separators;
+    }
+    EXPECT_EQ(separators, 6u) << line;
+    ++rows;
+  }
+  EXPECT_EQ(rows, param_registry().size() + 2);  // plus header and rule
+}
+
 TEST(ParamRegistry, UnknownNameThrows) {
   ScenarioConfig cfg;
   EXPECT_THROW(set_param(cfg, "no.such.param", "1"), ParamError);
@@ -199,9 +217,10 @@ TEST(ParamRegistry, EnumTokensHaveOneSpelling) {
 
   using campaign::ManifestError;
   using campaign::parse_manifest;
-  EXPECT_EQ(parse_manifest("schemes = rcast-bc, Leach\n").schemes,
-            (std::vector<Scheme>{Scheme::kRcastBcast, Scheme::kLeach}));
+  EXPECT_EQ(parse_manifest("schemes = rcast-bc, Odpm\n").schemes,
+            (std::vector<Scheme>{Scheme::kRcastBcast, Scheme::kOdpm}));
   EXPECT_THROW(parse_manifest("scheme = rcast\n"), ManifestError);
+  EXPECT_THROW(parse_manifest("schemes = leach\n"), ManifestError);
   EXPECT_THROW(parse_manifest("routing = dsr\n"), ManifestError);
   EXPECT_THROW(parse_manifest("schemes = 802.11\n"), ManifestError);
   EXPECT_THROW(parse_manifest("schemes = " + bcast + "\n"), ManifestError);

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "scenario/policy_registry.hpp"
 #include "scenario/scenario.hpp"
 
 namespace rcast::scenario {
@@ -19,28 +18,25 @@ ScenarioConfig small_cfg(Scheme s, std::uint64_t seed = 1) {
   return cfg;
 }
 
-const PowerPolicyEntry& policy(Scheme s) {
-  return power_policies().resolve(to_string(s));
-}
-
 TEST(Scenario, SchemeToOverhearingMap) {
-  EXPECT_EQ(policy(Scheme::kRcast).oh_map.data,
+  EXPECT_EQ(overhearing_map(Scheme::kRcast).data,
             mac::OverhearingMode::kRandomized);
-  EXPECT_EQ(policy(Scheme::kRcast).oh_map.rerr,
+  EXPECT_EQ(overhearing_map(Scheme::kRcast).rerr,
             mac::OverhearingMode::kUnconditional);
-  EXPECT_EQ(policy(Scheme::kPsmAll).oh_map.data,
+  EXPECT_EQ(overhearing_map(Scheme::kPsmAll).data,
             mac::OverhearingMode::kUnconditional);
-  EXPECT_EQ(policy(Scheme::kPsmNone).oh_map.data, mac::OverhearingMode::kNone);
-  EXPECT_EQ(policy(Scheme::kOdpm).oh_map.data, mac::OverhearingMode::kNone);
-  EXPECT_EQ(policy(Scheme::kRcastBcast).oh_map.rreq_bcast,
+  EXPECT_EQ(overhearing_map(Scheme::kPsmNone).data,
+            mac::OverhearingMode::kNone);
+  EXPECT_EQ(overhearing_map(Scheme::kOdpm).data, mac::OverhearingMode::kNone);
+  EXPECT_EQ(overhearing_map(Scheme::kRcastBcast).rreq_bcast,
             mac::OverhearingMode::kRandomized);
 }
 
 TEST(Scenario, SchemeUsesPsm) {
-  EXPECT_FALSE(policy(Scheme::k80211).uses_psm);
-  EXPECT_TRUE(policy(Scheme::kPsmNone).uses_psm);
-  EXPECT_TRUE(policy(Scheme::kOdpm).uses_psm);
-  EXPECT_TRUE(policy(Scheme::kRcast).uses_psm);
+  EXPECT_FALSE(uses_psm(Scheme::k80211));
+  EXPECT_TRUE(uses_psm(Scheme::kPsmNone));
+  EXPECT_TRUE(uses_psm(Scheme::kOdpm));
+  EXPECT_TRUE(uses_psm(Scheme::kRcast));
 }
 
 TEST(Scenario, SchemeNames) {

@@ -323,7 +323,7 @@ TEST(ResultService, FilteredAggregateSelectsRows) {
 
   // scheme=rcast keeps the two rcast rows, bytes unchanged.
   serving::AggregateFilter by_scheme;
-  by_scheme.scheme = static_cast<std::uint8_t>(scenario::Scheme::kRcast);
+  by_scheme.scheme = scenario::Scheme::kRcast;
   std::vector<std::string> expect = {lines[0]};
   for (const std::string& l : lines) {
     if (l.rfind("RCAST,", 0) == 0) expect.push_back(l);
@@ -670,7 +670,15 @@ TEST(HttpServer, ServesQueriesAndKeepAlive) {
   std::tie(status, body) = client.read_response();
   EXPECT_EQ(status, 200);
   EXPECT_EQ(body, "/two");
-  EXPECT_EQ(server.requests_served(), 2u);
+
+  // A key given twice (here once URL-encoded) is ambiguous: 400 naming it,
+  // and the handler never runs.
+  client.send_request("/echo?x=1&y=2&%78=3");
+  std::tie(status, body) = client.read_response();
+  EXPECT_EQ(status, 400);
+  EXPECT_NE(body.find("repeated query parameter: x"), std::string::npos)
+      << body;
+  EXPECT_EQ(server.requests_served(), 3u);
   server.stop();
 }
 

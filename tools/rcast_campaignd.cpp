@@ -20,10 +20,9 @@
 // /status (fleet + journal + cache view), /results?digest=<16hex> (point
 // lookup via the in-memory index), /aggregate?cell=<16hex> (memoized
 // seed-average), /aggregate (full CSV, optionally filtered by grid
-// coordinates: ?scheme=rcast&routing=dsr&mobility.model=rpgm
-// &traffic.pattern=sensing&nodes=60&flows=8&rate_pps=4&pause_s=30
-// &duration_s=900&seed=3), /metrics[?watch=N&interval-ms=M] (chunked live
-// counter stream merged across shards).
+// coordinates: ?scheme=rcast&routing=dsr&nodes=60&flows=8&rate_pps=4
+// &pause_s=30&duration_s=900&seed=3), /metrics[?watch=N&interval-ms=M]
+// (chunked live counter stream merged across shards).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -47,7 +46,6 @@
 #include "campaign/result_store.hpp"
 #include "campaign/runner.hpp"
 #include "scenario/params.hpp"
-#include "scenario/policy_registry.hpp"
 #include "scenario/scheme.hpp"
 #include "serving/http_server.hpp"
 #include "serving/metrics_io.hpp"
@@ -316,8 +314,8 @@ std::string aggregate_row_json(const campaign::AggregateRow& row) {
   w.key("cell").value(row.cell);
   w.key("scheme").value(scenario::to_string(row.scheme));
   w.key("routing").value(scenario::to_string(row.routing));
-  w.key("mobility").value(row.mobility);
-  w.key("traffic").value(row.traffic);
+  w.key("mobility").value("rwp");  // constant since cfg/v4, as in the CSV
+  w.key("traffic").value("cbr");
   w.key("nodes").value(static_cast<std::uint64_t>(row.nodes));
   w.key("flows").value(static_cast<std::uint64_t>(row.flows));
   w.key("rate_pps").value(row.rate_pps);
@@ -353,18 +351,16 @@ std::optional<std::uint64_t> parse_digest_param(const std::string& hex) {
 /// filter, or an error message naming the offending parameter.
 std::variant<serving::AggregateFilter, std::string> parse_aggregate_filter(
     const std::map<std::string, std::string>& query) {
-  // The index stores each enum axis as its registry ordinal.
+  // scheme and routing parse through their parameters, as manifests do.
   serving::AggregateFilter f;
   try {
     for (const auto& [key, value] : query) {
       if (key == "scheme") {
-        f.scheme = scenario::power_policies().index_of(value);
+        f.scheme = *scenario::scheme_from_string(
+            scenario::find_param("power.scheme")->parse(value).token);
       } else if (key == "routing") {
-        f.routing = scenario::routing_protocols().index_of(value);
-      } else if (key == "mobility.model") {
-        f.mobility = scenario::mobility_models().index_of(value);
-      } else if (key == "traffic.pattern") {
-        f.traffic = scenario::traffic_patterns().index_of(value);
+        f.routing = *scenario::routing_from_string(
+            scenario::find_param("routing.protocol")->parse(value).token);
       } else if (key == "nodes" || key == "flows" || key == "seed") {
         const auto v = Flags::parse_u64(value);
         if (!v) return "malformed " + key + ": " + value;
@@ -382,7 +378,7 @@ std::variant<serving::AggregateFilter, std::string> parse_aggregate_filter(
         return "unknown aggregate parameter: " + key;
       }
     }
-  } catch (const scenario::RegistryError& e) {
+  } catch (const scenario::ParamError& e) {
     return std::string(e.what());
   }
   return f;

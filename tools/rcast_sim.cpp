@@ -42,8 +42,7 @@ void print_usage() {
       "rcast_sim — MANET energy-efficiency simulator (Rcast reproduction)\n"
       "\n"
       "  --scheme=NAME      80211 | psm-none | psm-all | odpm | rcast |\n"
-      "                     rcast-bc | leach | all    (default rcast;\n"
-      "                     'all' = the paper's six, without leach)\n"
+      "                     rcast-bc | all            (default rcast)\n"
       "  --routing=PROTO    dsr | aodv                (default dsr)\n"
       "  --nodes=N          node count                (default 100)\n"
       "  --flows=N          CBR flow count            (default nodes/5)\n"
@@ -67,6 +66,8 @@ void print_usage() {
       "  --help             this text");
 }
 
+// The mobility and traffic columns predate cfg/v4, since which every run is
+// random waypoint with CBR flows.
 void print_csv_header() {
   std::printf(
       "scheme,routing,mobility,traffic,seed,nodes,flows,rate_pps,seconds,"
@@ -78,11 +79,10 @@ void print_csv_header() {
 void print_csv_row(const scenario::ScenarioConfig& cfg,
                    const scenario::RunResult& r) {
   std::printf(
-      "%s,%s,%s,%s,%llu,%zu,%zu,%.3f,%.1f,%.1f,%.2f,%.1f,%.1f,%.6g,%.4f,"
+      "%s,%s,rwp,cbr,%llu,%zu,%zu,%.3f,%.1f,%.1f,%.2f,%.1f,%.1f,%.6g,%.4f,"
       "%.4f,%.4f,%.3f,%llu,%llu,%zu,%.1f,%.1f\n",
       std::string(to_string(cfg.scheme)).c_str(),
       std::string(to_string(cfg.routing)).c_str(),
-      cfg.mobility_model.c_str(), cfg.traffic_pattern.c_str(),
       static_cast<unsigned long long>(cfg.seed), cfg.num_nodes,
       cfg.num_flows, cfg.rate_pps, sim::to_seconds(cfg.duration),
       sim::to_seconds(cfg.pause), r.pdr_percent, r.total_energy_j,
