@@ -156,9 +156,6 @@ std::string record_to_json(const Job& job, const scenario::RunResult& r,
   w.key("queue_depth_high_water").value(r.perf.queue_depth_high_water);
   w.key("queue_rung_spawns").value(r.perf.queue_rung_spawns);
   w.key("dispatch_batches").value(r.perf.dispatch_batches);
-  w.key("batch_size_hist").begin_array();
-  for (const std::uint64_t n : r.perf.batch_size_hist) w.value(n);
-  w.end_array();
   w.key("handler_moves").value(r.perf.handler_moves);
   w.key("inplace_fires").value(r.perf.inplace_fires);
   w.key("pool_hits").value(r.perf.pool_hits);
@@ -338,13 +335,6 @@ JobRecord record_from_json(const json::Value& v) {
   }
   if (const json::Value* g = perf.find("dispatch_batches")) {
     r.perf.dispatch_batches = g->as_u64();
-  }
-  if (const json::Value* g = perf.find("batch_size_hist")) {
-    const auto& hist = g->as_array();
-    for (std::size_t i = 0;
-         i < hist.size() && i < r.perf.batch_size_hist.size(); ++i) {
-      r.perf.batch_size_hist[i] = hist[i].as_u64();
-    }
   }
   if (const json::Value* g = perf.find("handler_moves")) {
     r.perf.handler_moves = g->as_u64();

@@ -117,8 +117,10 @@ void Channel::transmit(FramePtr frame, sim::Time duration) {
   // Fan out to every radio that senses the frame, straight from the spatial
   // query (no intermediate result list): the callback fires in deterministic
   // grid order with the exact squared distance already computed. Each
-  // receiver gets its own start/end closure pair with all delivery state
-  // inline in the event slot — scheduled here, or posted to its home shard.
+  // receiver gets its own start/end closure pair inline in the event slots —
+  // scheduled here, or posted to its home shard. The start closure holds the
+  // one frame reference and moves it into the Phy's arrival record; the end
+  // closure names the record by id.
   const double rx2 = cfg_.tx_range_m * cfg_.tx_range_m;
   std::uint64_t remote_mask = 0;  // home shards with a remote receiver
   mobility_.for_each_within(
@@ -131,12 +133,12 @@ void Channel::transmit(FramePtr frame, sim::Time duration) {
         const sim::Time end = start + duration;
         const std::uint64_t arrival_id = ++local.next_arrival_id;
         ++local.stats.arrival_records;
-        auto on_start = [phy, arrival_id, frame, in_rx_range, dist, end] {
-          phy->arrival_start(arrival_id, frame, in_rx_range, dist, end);
+        auto on_start = [phy, arrival_id, frame, in_rx_range, dist,
+                         end]() mutable {
+          phy->arrival_start(arrival_id, std::move(frame), in_rx_range, dist,
+                             end);
         };
-        auto on_end = [phy, arrival_id, frame, in_rx_range] {
-          phy->arrival_end(arrival_id, frame, in_rx_range);
-        };
+        auto on_end = [phy, arrival_id] { phy->arrival_end(arrival_id); };
         // Scheduled per sensed receiver per frame — the single hottest
         // schedule site; they must never spill to the heap.
         static_assert(

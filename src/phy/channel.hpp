@@ -16,8 +16,11 @@
 //
 // Fan-out (DESIGN.md §17): transmit() walks the sensed set once, in the
 // spatial query's grid order, and gives every sensed receiver one
-// arrival-start and one arrival-end closure carrying all of its delivery
-// state inline.
+// arrival-start closure (phy, arrival id, frame, range flag, distance, end
+// time) and one arrival-end closure (phy, arrival id). The start moves the
+// frame into the receiver's arrival record; the end that empties a radio's
+// record set also closes its carrier-busy period, so a sensed arrival costs
+// exactly these two events.
 //
 // Sharded runs (DESIGN.md §15): every piece of per-transmission mutable
 // state — the cs-cell grid, the stats, the arrival-id stream — is replicated

@@ -63,38 +63,16 @@ void Phy::extend_busy(sim::Time until) {
     carrier_was_busy_ = true;
     if (listener_ != nullptr) listener_->phy_carrier_busy();
   }
-  schedule_idle_check();
 }
 
-void Phy::schedule_idle_check() {
-  // Lazy deadline: a pending check at or before busy_until_ is left alone —
-  // it fires, sees the window was extended, and re-arms itself, so the
-  // common extend-while-busy path costs zero cancel+push churn (ROADMAP
-  // event-dispatch item; bench_micro records the delta). Only a check
-  // pending *later* than the deadline (possible after sleep() shrank the
-  // window and a later extend re-grew it shorter) must be re-armed eagerly,
-  // or the idle edge would fire late.
-  // Sharded runs can deliver a boundary-crossing arrival after its frame
-  // already ended (bounded by the lookahead window), leaving busy_until_ in
-  // the past — the check then runs immediately and emits the idle edge.
-  const sim::Time deadline = std::max(busy_until_, sim_.now());
-  if (idle_check_armed_ && idle_check_at_ <= deadline) return;
-  if (idle_check_armed_) sim_.cancel(idle_check_);
-  idle_check_armed_ = true;
-  idle_check_at_ = deadline;
-  idle_check_ = sim_.at(deadline, [this] {
-    idle_check_armed_ = false;
-    if (sim_.now() < busy_until_) {
-      schedule_idle_check();  // extended meanwhile
-      return;
-    }
-    if (carrier_was_busy_ && !asleep_) {
-      carrier_was_busy_ = false;
-      if (listener_ != nullptr) listener_->phy_carrier_idle();
-    } else {
-      carrier_was_busy_ = false;
-    }
-  });
+void Phy::maybe_idle() {
+  // The idle edge: no recorded arrival left and the busy window closed.
+  // Safe to call at any time; it fires only on the busy -> idle transition.
+  if (!carrier_was_busy_ || !arrivals_.empty() || sim_.now() < busy_until_) {
+    return;
+  }
+  carrier_was_busy_ = false;
+  if (listener_ != nullptr) listener_->phy_carrier_idle();
 }
 
 void Phy::start_tx(FramePtr frame) {
@@ -134,6 +112,7 @@ void Phy::sleep() {
   RCAST_REQUIRE_MSG(!tx_busy_, "cannot sleep mid-transmission");
   asleep_ = true;
   // A dozing radio hears nothing: drop all sensed arrivals and the lock.
+  // Their arrival_end events find no record and emit nothing.
   arrivals_.clear();
   locked_arrival_ = 0;
   busy_until_ = sim_.now();
@@ -152,7 +131,13 @@ void Phy::wake() {
   // Physical carrier sense picks up transmissions already on the air, but a
   // partially-heard frame cannot be decoded.
   const sim::Time busy = channel_.sensed_busy_until(channel_.position_of(id_));
-  if (busy > sim_.now()) extend_busy(busy);
+  if (busy > sim_.now()) {
+    extend_busy(busy);
+    // No arrival record will close this window, so a timer checks at its
+    // end. If an arrival outlasts it, that arrival's end emits the edge; a
+    // check left over from before a sleep() finds nothing to do.
+    sim_.at(busy, [this] { maybe_idle(); });
+  }
 }
 
 bool Phy::interferes(double d_interferer, double d_signal) const {
@@ -171,7 +156,7 @@ Phy::Arrival* Phy::find_arrival(std::uint64_t arrival_id) {
   return nullptr;
 }
 
-void Phy::arrival_start(std::uint64_t arrival_id, const FramePtr& frame,
+void Phy::arrival_start(std::uint64_t arrival_id, FramePtr frame,
                         bool in_rx_range, double distance_m,
                         sim::Time end_time) {
   if (asleep_ || dead()) {
@@ -187,7 +172,6 @@ void Phy::arrival_start(std::uint64_t arrival_id, const FramePtr& frame,
 
   Arrival a;
   a.id = arrival_id;
-  a.frame = frame;
   a.distance_m = distance_m;
 
   // Does this new arrival corrupt an ongoing locked reception?
@@ -239,18 +223,18 @@ void Phy::arrival_start(std::uint64_t arrival_id, const FramePtr& frame,
   }
 
   if (a.locked) locked_arrival_ = arrival_id;
+  a.frame = std::move(frame);
   arrivals_.push_back(std::move(a));
   update_energy_state();
   extend_busy(end_time);
 }
 
-void Phy::arrival_end(std::uint64_t arrival_id, const FramePtr& frame,
-                      bool in_rx_range) {
-  (void)in_rx_range;
+void Phy::arrival_end(std::uint64_t arrival_id) {
   Arrival* it = find_arrival(arrival_id);
   if (it == nullptr) return;  // slept (or was asleep) meanwhile
   const bool was_locked = (arrival_id == locked_arrival_);
   const bool corrupted = it->corrupted;
+  const FramePtr frame = std::move(it->frame);
   *it = std::move(arrivals_.back());  // swap-erase; order is irrelevant
   arrivals_.pop_back();
   if (was_locked) {
@@ -269,6 +253,7 @@ void Phy::arrival_end(std::uint64_t arrival_id, const FramePtr& frame,
       if (listener_ != nullptr) listener_->phy_rx_ok(frame);
     }
   }
+  maybe_idle();
 }
 
 }  // namespace rcast::phy

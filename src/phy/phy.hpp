@@ -4,6 +4,13 @@
 // and collision corruption, and drives the node's EnergyMeter on every state
 // transition. The MAC observes the radio through PhyListener callbacks plus
 // carrier_busy()/busy_until() queries.
+//
+// Carrier edges (DESIGN.md §17): the busy edge comes from the first sensed
+// arrival (or a wake-up into a frame already on the air); the idle edge
+// comes from the arrival_end that empties the arrival set once the busy
+// window has closed, inside that event. Only the one busy window with no
+// arrival record to close it — the remainder a waking radio senses from
+// the channel — arms a timer.
 #pragma once
 
 #include <cstdint>
@@ -92,15 +99,21 @@ class Phy {
 
   // --- Channel-facing (not for MAC use) ------------------------------------
 
-  void arrival_start(std::uint64_t arrival_id, const FramePtr& frame,
+  /// A sensed frame's leading edge reaches this radio. An awake radio
+  /// records the arrival (the record owns `frame`) and extends the busy
+  /// window to `end_time`; a sleeping one only counts the miss.
+  void arrival_start(std::uint64_t arrival_id, FramePtr frame,
                      bool in_rx_range, double distance_m, sim::Time end_time);
-  void arrival_end(std::uint64_t arrival_id, const FramePtr& frame,
-                   bool in_rx_range);
+  /// The arrival's trailing edge: drops its record, delivers a clean locked
+  /// reception, and emits the idle edge when the set is left empty and the
+  /// busy window has closed. No-op for an arrival never recorded or dropped
+  /// by sleep().
+  void arrival_end(std::uint64_t arrival_id);
 
  private:
   struct Arrival {
     std::uint64_t id = 0;     // channel arrival id (0 is never assigned)
-    FramePtr frame;
+    FramePtr frame;           // moved in from the start closure
     double distance_m = 0.0;  // transmitter-to-us distance at frame start
     bool corrupted = false;
     bool locked = false;  // we are attempting to decode this one
@@ -115,7 +128,9 @@ class Phy {
 
   void update_energy_state();
   void extend_busy(sim::Time until);
-  void schedule_idle_check();
+  /// Emits the idle edge if the carrier was busy, no arrival is recorded and
+  /// the busy window has closed.
+  void maybe_idle();
 
   sim::Simulator& sim_;
   Channel& channel_;
@@ -135,11 +150,6 @@ class Phy {
   std::uint64_t locked_arrival_ = 0;  // Arrival::id, 0 = none
   sim::Time busy_until_ = 0;
   bool carrier_was_busy_ = false;
-  sim::EventId idle_check_;
-  /// Lazy idle-check state (see schedule_idle_check): whether a check event
-  /// is pending and the deadline it was armed for.
-  bool idle_check_armed_ = false;
-  sim::Time idle_check_at_ = 0;
   PhyStats stats_;
 };
 

@@ -67,7 +67,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <limits>
@@ -189,7 +188,6 @@ class EventQueue {
     RCAST_REQUIRE(bottom_pos_ < bottom_.size());
     const Time t = bottom_[bottom_pos_].time;
     last_popped_ = t;
-    std::uint64_t fired = 0;
     // Re-read indices every iteration: a handler's push can grow the
     // same-time tail of the bottom or trigger a compaction that rewrites it.
     while (bottom_pos_ < bottom_.size() && bottom_[bottom_pos_].time == t) {
@@ -197,12 +195,8 @@ class EventQueue {
       --stored_;
       if (dead(e)) continue;  // cancelled, possibly mid-batch
       fire_slot(e, fire);
-      ++fired;
     }
     ++batches_;
-    batch_hist_[std::min<std::size_t>(
-        static_cast<std::size_t>(std::bit_width(fired)) - 1,
-        batch_hist_.size() - 1)] += 1;
     return t;
   }
 
@@ -219,12 +213,8 @@ class EventQueue {
   /// Rungs created: top-tier reseeds plus overfull-bucket subdivisions.
   std::uint64_t rung_spawns() const { return rung_spawns_; }
 
-  /// pop_batch dispatches, and a log2 histogram of their sizes: bucket i
-  /// counts batches of 2^i..2^(i+1)-1 events (last bucket open-ended).
+  /// pop_batch dispatches (one per distinct fired timestamp).
   std::uint64_t dispatch_batches() const { return batches_; }
-  const std::array<std::uint64_t, 8>& batch_size_hist() const {
-    return batch_hist_;
-  }
 
   /// Handlers invoked directly from slot storage (every fire since the
   /// in-place dispatch rework; the move-out path no longer exists).
@@ -786,7 +776,6 @@ class EventQueue {
   std::uint64_t batches_ = 0;
   std::uint64_t inplace_fires_ = 0;
   std::uint64_t handler_moves_ = 0;
-  std::array<std::uint64_t, 8> batch_hist_{};
 };
 
 }  // namespace rcast::sim

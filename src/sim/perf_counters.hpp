@@ -7,7 +7,6 @@
 // (BENCH_hotpath.json) so the trajectory is tracked across PRs.
 #pragma once
 
-#include <array>
 #include <cstdint>
 
 namespace rcast::sim {
@@ -24,11 +23,8 @@ struct PerfCounters {
   /// Ladder-queue rungs created: top-tier reseeds plus overfull-bucket
   /// subdivisions. Growth tracks how bimodal the workload's horizons are.
   std::uint64_t queue_rung_spawns = 0;
-  /// Batched same-timestamp dispatches, and a log2 histogram of their
-  /// sizes: bucket i counts batches of 2^i..2^(i+1)-1 events (last bucket
-  /// open-ended). Attributes run time to scheduling vs protocol work.
+  /// Batched same-timestamp dispatches (distinct fired timestamps).
   std::uint64_t dispatch_batches = 0;
-  std::array<std::uint64_t, 8> batch_size_hist{};
   /// Handlers moved into a queue slot (the Handler&& push path: cross-shard
   /// outbox drains, pre-built handlers). The emplace path constructs the
   /// callable in its slot directly, so unsharded hot-path runs keep this 0.

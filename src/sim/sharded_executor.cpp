@@ -63,8 +63,6 @@ void ShardedExecutor::fill_perf(PerfCounters& p) const {
     p.dispatch_batches += s.queue.dispatch_batches();
     p.handler_moves += s.queue.handler_moves();
     p.inplace_fires += s.queue.inplace_fires();
-    const auto hist = s.queue.batch_size_hist();
-    for (std::size_t i = 0; i < hist.size(); ++i) p.batch_size_hist[i] += hist[i];
   }
 }
 

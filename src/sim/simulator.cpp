@@ -68,7 +68,6 @@ PerfCounters Simulator::perf_counters() const {
     p.queue_depth_high_water = queue_.depth_high_water();
     p.queue_rung_spawns = queue_.rung_spawns();
     p.dispatch_batches = queue_.dispatch_batches();
-    p.batch_size_hist = queue_.batch_size_hist();
     p.handler_moves = queue_.handler_moves();
     p.inplace_fires = queue_.inplace_fires();
   }

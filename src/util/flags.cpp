@@ -115,17 +115,4 @@ std::optional<std::uint64_t> Flags::parse_u64(const std::string& s) {
   return static_cast<std::uint64_t>(v);
 }
 
-std::string Flags::env_or(const std::string& name,
-                          const std::string& fallback) {
-  const char* v = std::getenv(name.c_str());
-  return v ? std::string(v) : fallback;
-}
-
-bool Flags::env_flag(const std::string& name) {
-  const char* v = std::getenv(name.c_str());
-  if (!v) return false;
-  const std::string s = v;
-  return s == "1" || s == "true" || s == "yes" || s == "on";
-}
-
 }  // namespace rcast

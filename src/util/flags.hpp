@@ -1,4 +1,4 @@
-// Tiny command-line / environment flag helper for bench and example binaries.
+// Tiny command-line flag helper for bench and example binaries.
 //
 // Supported syntax: --name=value, --name value, and bare --name (bool true).
 // Unrecognized flags are kept and can be listed, so typos fail loudly.
@@ -35,11 +35,6 @@ class Flags {
   /// Flags that were never queried via get_*/has; call after parsing all
   /// known flags to report typos.
   std::vector<std::string> unknown() const;
-
-  /// Environment helper: returns $name if set, else fallback.
-  static std::string env_or(const std::string& name,
-                            const std::string& fallback);
-  static bool env_flag(const std::string& name);
 
   /// Strict numeric parsing: the entire (whitespace-trimmed) string must be
   /// a finite number, otherwise nullopt. Unlike std::stod/std::stoul these

@@ -358,16 +358,14 @@ TEST(ResultStore, AggregateGroupsBySchemeAcrossSeeds) {
   EXPECT_EQ(rows[0].mean.delivered, cell.delivered);
 }
 
-// Stores written before the PHY group-size histogram was retired carry one
-// more "perf" array in every record. Such records must still load, and
-// aggregate to the same bytes as records without the key.
-TEST(ResultStore, RecordWithRetiredGroupHistogramStillAggregates) {
+// Stores written before a perf counter was retired carry one more "perf"
+// member in every record, which the old writer put right after `after_key`.
+// Such records must still load, and aggregate to the same bytes as records
+// without the member.
+void expect_retired_perf_member_ignored(const std::string& after_key,
+                                        const std::string& retired) {
   const Manifest m = parse_manifest(kManifestText);
   const auto jobs = expand(m);
-  // The retired member as the old writer emitted it. The name is split so
-  // that a search of the tree for the deleted mechanism comes up empty.
-  const std::string retired =
-      "\"arrival_" + std::string("group_size_hist\":[0,1695,262,0,0,0,0,0],");
   TempDir dir;
   const std::string current = dir.file("current.jsonl");
   const std::string legacy = dir.file("legacy.jsonl");
@@ -379,15 +377,13 @@ TEST(ResultStore, RecordWithRetiredGroupHistogramStillAggregates) {
       r.total_energy_j = 100.0 + static_cast<double>(i);
       r.originated = 20;
       r.delivered = 10 + i;
+      r.perf.dispatch_batches = 2000 + i;
       r.perf.inplace_fires = 1000 + i;
       std::string line = record_to_json(jobs[i], r, 1.0);
       cur << line << "\n";
-      // The old writer put the histogram right after inplace_fires.
-      const std::string anchor =
-          "\"inplace_fires\":" + std::to_string(1000 + i) + ",";
-      const std::size_t at = line.find(anchor);
-      ASSERT_NE(at, std::string::npos) << line;
-      line.insert(at + anchor.size(), retired);
+      const std::size_t key = line.find("\"" + after_key + "\":");
+      ASSERT_NE(key, std::string::npos) << line;
+      line.insert(line.find(',', key) + 1, retired);
       old << line << "\n";
     }
   }
@@ -395,12 +391,30 @@ TEST(ResultStore, RecordWithRetiredGroupHistogramStillAggregates) {
   const auto records = load_results(legacy);
   ASSERT_EQ(records.size(), jobs.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].result.perf.dispatch_batches, 2000 + i);
     EXPECT_EQ(records[i].result.perf.inplace_fires, 1000 + i);
     EXPECT_EQ(records[i].result.delivered, 10 + i);
   }
   const std::string want = export_aggregate_csv({current});
   EXPECT_EQ(aggregate_csv(aggregate(records)), want);
   EXPECT_EQ(export_aggregate_csv({legacy}), want);
+}
+
+TEST(ResultStore, RecordWithRetiredGroupHistogramStillAggregates) {
+  // The name is split so that a search of the tree for the deleted
+  // mechanism comes up empty.
+  expect_retired_perf_member_ignored(
+      "inplace_fires",
+      "\"arrival_" +
+          std::string("group_size_hist\":[0,1695,262,0,0,0,0,0],"));
+}
+
+// The dispatch-batch size histogram (8 log2 buckets) sat right after
+// dispatch_batches until nothing read it.
+TEST(ResultStore, RecordWithRetiredBatchHistogramStillAggregates) {
+  expect_retired_perf_member_ignored(
+      "dispatch_batches",
+      "\"batch_size_hist\":[4512,1838,903,217,41,6,0,0],");
 }
 
 // Records written before digest v3 keep the two enum axes under bare

@@ -71,16 +71,5 @@ TEST(Flags, LastDuplicateWins) {
   EXPECT_EQ(f.get_int("n", 0), 2);
 }
 
-TEST(Flags, EnvHelpers) {
-  ::setenv("RCAST_TEST_ENV_X", "hello", 1);
-  EXPECT_EQ(Flags::env_or("RCAST_TEST_ENV_X", "d"), "hello");
-  EXPECT_EQ(Flags::env_or("RCAST_TEST_ENV_MISSING", "d"), "d");
-  ::setenv("RCAST_TEST_ENV_B", "1", 1);
-  EXPECT_TRUE(Flags::env_flag("RCAST_TEST_ENV_B"));
-  ::setenv("RCAST_TEST_ENV_B", "0", 1);
-  EXPECT_FALSE(Flags::env_flag("RCAST_TEST_ENV_B"));
-  EXPECT_FALSE(Flags::env_flag("RCAST_TEST_ENV_MISSING"));
-}
-
 }  // namespace
 }  // namespace rcast

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "energy/energy_model.hpp"
@@ -41,9 +42,58 @@ class Listener : public PhyListener {
   int idle_edges = 0;
 };
 
+// Records the time of every carrier edge, and the order of edges ('B',
+// 'I') and decoded frames ('R').
+class EdgeLog : public PhyListener {
+ public:
+  explicit EdgeLog(const sim::Simulator& sim) : sim_(sim) {}
+  void phy_rx_ok(const FramePtr&) override { order += 'R'; }
+  void phy_tx_done() override {}
+  void phy_carrier_busy() override {
+    busy.push_back(sim_.now());
+    order += 'B';
+  }
+  void phy_carrier_idle() override {
+    idle.push_back(sim_.now());
+    order += 'I';
+  }
+
+  std::vector<sim::Time> busy;
+  std::vector<sim::Time> idle;
+  std::string order;
+
+ private:
+  const sim::Simulator& sim_;
+};
+
 // Fixture: static nodes on a line. Node i at x = i * spacing.
 class PhyTest : public ::testing::Test {
  protected:
+  // Delivers one arrival straight to radio `i` the way Channel::transmit
+  // schedules it: a start closure that moves the frame into the radio at
+  // `start`, and an end closure naming the arrival by id at `end_at` (later
+  // than `end` only for a cross-shard arrival delivered at a barrier). A
+  // carrier-sense-only signal comes from 400 m, a decodable one from 100 m.
+  void deliver(std::size_t i, std::uint64_t id, sim::Time start,
+               sim::Time end, sim::Time end_at, bool in_rx_range = false) {
+    Phy* phy = phys_[i].get();
+    sim_.at(start, [phy, id, end, in_rx_range,
+                    frame = make_frame(1, kBroadcastId, 512)]() mutable {
+      phy->arrival_start(id, std::move(frame), in_rx_range,
+                         in_rx_range ? 100.0 : 400.0, end);
+    });
+    sim_.at(end_at, [phy, id] { phy->arrival_end(id); });
+  }
+  void sense(std::size_t i, std::uint64_t id, sim::Time start,
+             sim::Time end) {
+    deliver(i, id, start, end, end);
+  }
+  // Events pushed so far. Tests that count pushes stop before the mobility
+  // grid's first periodic refresh (100 ms), so they count only the PHY's.
+  std::uint64_t scheduled() const {
+    return sim_.perf_counters().events_scheduled;
+  }
+
   void build(std::size_t n, double spacing) {
     mobility_ = std::make_unique<mobility::MobilityManager>(
         sim_, geo::Rect{10000.0, 100.0}, 550.0);
@@ -270,6 +320,118 @@ TEST_F(PhyTest, SleepWakeCycleKeepsWorking) {
   ASSERT_EQ(listeners_[1]->received.size(), 1u);
 }
 
+// --- Carrier edges: one start/end event pair per sensed arrival ------------
+
+constexpr sim::Time kUs = sim::kMicrosecond;
+
+// Two overlapping frames sensed by the radio between their transmitters:
+// one busy edge at the first arrival, one idle edge at the last arrival's
+// end (200 m of propagation is 667 ns).
+TEST_F(PhyTest, OverlappingArrivalsGiveOneBusyAndOneIdleEdge) {
+  build(3, 200.0);
+  EdgeLog log(sim_);
+  phys_[1]->set_listener(&log);
+  phys_[0]->start_tx(make_frame(0, kBroadcastId, 1000));  // 500 us
+  sim_.at(100 * kUs, [&] {
+    phys_[2]->start_tx(make_frame(2, kBroadcastId, 1000));
+  });
+  sim_.run_until(sim::kSecond);
+  EXPECT_EQ(log.busy, (std::vector<sim::Time>{667}));
+  EXPECT_EQ(log.idle, (std::vector<sim::Time>{600 * kUs + 667}));
+}
+
+// BM_PhyBusyChurn's shape: each arrival lands while the previous two are
+// still on the air. The radio schedules nothing of its own — exactly the
+// start and end event per arrival — and the window idles once, at the last
+// end.
+TEST_F(PhyTest, BusyChurnSchedulesTwoEventsPerArrival) {
+  build(1, 100.0);
+  EdgeLog log(sim_);
+  phys_[0]->set_listener(&log);
+  const std::uint64_t before = scheduled();
+  const std::uint64_t n = 64;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const sim::Time start = 10 * kUs + static_cast<sim::Time>(i) * 20 * kUs;
+    sense(0, i + 1, start, start + 50 * kUs);
+  }
+  sim_.run_until(sim::from_millis(50));
+  EXPECT_EQ(scheduled() - before, 2 * n);
+  EXPECT_EQ(log.busy, (std::vector<sim::Time>{10 * kUs}));
+  EXPECT_EQ(log.idle, (std::vector<sim::Time>{
+                          10 * kUs + (n - 1) * 20 * kUs + 50 * kUs}));
+}
+
+// Two arrivals end at the same instant, the carrier-only one first: the
+// idle edge waits for the set to empty, so the MAC sees the decoded frame
+// before the carrier goes idle.
+TEST_F(PhyTest, IdleEdgeFollowsSameInstantDecode) {
+  build(1, 100.0);
+  EdgeLog log(sim_);
+  phys_[0]->set_listener(&log);
+  deliver(0, 1, 20 * kUs, 60 * kUs, 60 * kUs);  // carrier only
+  deliver(0, 2, 10 * kUs, 60 * kUs, 60 * kUs, /*in_rx_range=*/true);
+  sim_.run_until(sim::kSecond);
+  EXPECT_EQ(log.order, "BRI");
+  EXPECT_EQ(log.idle, (std::vector<sim::Time>{60 * kUs}));
+  EXPECT_EQ(phys_[0]->stats().rx_ok, 1u);
+}
+
+// A radio waking into a frame already on the air has no arrival record for
+// it: wake() arms the one timer, and the idle edge comes at the sensed end.
+TEST_F(PhyTest, WakeMidFrameIdlesAtSensedEndThroughOneTimer) {
+  build(2, 200.0);
+  EdgeLog log(sim_);
+  phys_[1]->set_listener(&log);
+  phys_[1]->sleep();
+  phys_[0]->start_tx(make_frame(0, 1, 200000));  // 100 ms at 2 Mbps
+  std::uint64_t pushed_by_wake = 0;
+  sim::Time sensed_end = 0;
+  sim_.at(sim::from_millis(30), [&] {
+    const std::uint64_t before = scheduled();
+    phys_[1]->wake();
+    pushed_by_wake = scheduled() - before;
+    sensed_end = phys_[1]->busy_until();
+  });
+  sim_.run_until(sim::kSecond);
+  EXPECT_EQ(pushed_by_wake, 1u);
+  EXPECT_EQ(sensed_end, sim::from_millis(100) + 667);  // + 200 m / c
+  EXPECT_EQ(log.busy, (std::vector<sim::Time>{sim::from_millis(30)}));
+  EXPECT_EQ(log.idle, (std::vector<sim::Time>{sensed_end}));
+}
+
+// sleep() drops the recorded arrivals without an idle edge; their
+// arrival_end events, still queued, must not emit one either. After waking,
+// a fresh arrival gets its own edge pair.
+TEST_F(PhyTest, SleepSilencesStaleArrivalEnds) {
+  build(1, 100.0);
+  EdgeLog log(sim_);
+  phys_[0]->set_listener(&log);
+  sense(0, 1, 10 * kUs, 60 * kUs);
+  sense(0, 2, 20 * kUs, 80 * kUs);
+  sim_.at(40 * kUs, [&] { phys_[0]->sleep(); });
+  sim_.at(100 * kUs, [&] { phys_[0]->wake(); });
+  sense(0, 3, 200 * kUs, 250 * kUs);
+  sim_.run_until(sim::kSecond);
+  EXPECT_EQ(log.busy, (std::vector<sim::Time>{10 * kUs, 200 * kUs}));
+  EXPECT_EQ(log.idle, (std::vector<sim::Time>{250 * kUs}));
+}
+
+// A cross-shard arrival delivered at a barrier after its own end: start and
+// end run back to back at the barrier time, and the carrier idles at once,
+// with no timer.
+TEST_F(PhyTest, ArrivalAlreadyEndedIdlesAtOnce) {
+  build(1, 100.0);
+  EdgeLog log(sim_);
+  phys_[0]->set_listener(&log);
+  const std::uint64_t before = scheduled();
+  deliver(0, 1, 100 * kUs, 90 * kUs, 100 * kUs);
+  sim_.run_until(sim::from_millis(50));
+  EXPECT_EQ(scheduled() - before, 2u);
+  EXPECT_EQ(log.busy, (std::vector<sim::Time>{100 * kUs}));
+  EXPECT_EQ(log.idle, (std::vector<sim::Time>{100 * kUs}));
+  EXPECT_FALSE(phys_[0]->carrier_busy());
+}
+
 TEST_F(PhyTest, DeadRadioDoesNotTransmit) {
   build(2, 200.0);
   meters_[0] = std::make_unique<energy::EnergyMeter>(
@@ -427,7 +589,7 @@ TEST(ChannelAlloc, SteadyStateTransmitIsHeapFree) {
   }
   // A cluster of radios broadcasting pool-backed frames: after a warm-up
   // window (pools primed, arrival vectors and cs-cell buckets at capacity)
-  // a full transmit/arrival/idle-check cycle must never touch the heap.
+  // a full transmit/arrival cycle must never touch the heap.
   sim::Simulator sim;
   mobility::MobilityManager mobility(sim, geo::Rect{900.0, 300.0}, 550.0);
   Channel channel(sim, mobility, ChannelConfig{});
@@ -455,9 +617,8 @@ TEST(ChannelAlloc, SteadyStateTransmitIsHeapFree) {
     }
   };
   // Warm-up: enough inserts into the shared cs cell to cross the prune
-  // watermark so its bucket reaches steady-state capacity. Two rounds: the
-  // lazy idle-check re-arm shifts when checks are pushed, and the queue's
-  // slot table only reaches its steady capacity in the second round.
+  // watermark so its bucket reaches steady-state capacity. Two rounds, so
+  // the queue's slot table reaches its steady capacity too.
   broadcast_round(0, 64);
   sim.run_until(sim::from_millis(100));
   broadcast_round(sim::from_millis(100), 64);
