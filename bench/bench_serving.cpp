@@ -92,7 +92,7 @@ Store& store() {
     }
     out.close();
 
-    st.service = new serving::ResultService({st.jsonl});  // indexes in memory
+    st.service = new serving::ResultService(st.jsonl);  // indexes in memory
     return st;
   }();
   return s;
@@ -172,8 +172,7 @@ void BM_AggregateCellCold(benchmark::State& state) {
   for (auto _ : state) {
     if (next == st.cells.size()) {
       state.PauseTiming();
-      fresh = std::make_unique<serving::ResultService>(
-          std::vector<std::string>{st.jsonl});
+      fresh = std::make_unique<serving::ResultService>(st.jsonl);
       next = 0;
       state.ResumeTiming();
     }
@@ -331,7 +330,7 @@ void BM_ServiceOpen(benchmark::State& state) {
   Store& st = store();
   std::size_t records = 0;
   for (auto _ : state) {
-    serving::ResultService svc({st.jsonl});
+    serving::ResultService svc(st.jsonl);
     records = svc.record_count();
     benchmark::DoNotOptimize(records);
   }

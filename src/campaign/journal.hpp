@@ -35,8 +35,8 @@ struct JournalEntry {
 /// Read-only snapshot of a journal file: the header plus every complete
 /// committed line at the moment of the read. Unlike Journal::open this never
 /// truncates a torn tail or opens the file for append, so it is safe to call
-/// on a journal another process is actively writing (the serving daemon polls
-/// live worker journals this way).
+/// on a journal another thread or process is actively writing (the serving
+/// daemon's /status polls the journal its runner is writing this way).
 struct JournalView {
   std::string campaign_digest;
   std::size_t job_count = 0;

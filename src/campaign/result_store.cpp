@@ -157,7 +157,6 @@ std::string record_to_json(const Job& job, const scenario::RunResult& r,
   w.key("queue_rung_spawns").value(r.perf.queue_rung_spawns);
   w.key("dispatch_batches").value(r.perf.dispatch_batches);
   w.key("handler_moves").value(r.perf.handler_moves);
-  w.key("inplace_fires").value(r.perf.inplace_fires);
   w.key("pool_hits").value(r.perf.pool_hits);
   w.key("pool_misses").value(r.perf.pool_misses);
   w.key("bytes_allocated").value(r.perf.bytes_allocated);
@@ -339,9 +338,6 @@ JobRecord record_from_json(const json::Value& v) {
   if (const json::Value* g = perf.find("handler_moves")) {
     r.perf.handler_moves = g->as_u64();
   }
-  if (const json::Value* g = perf.find("inplace_fires")) {
-    r.perf.inplace_fires = g->as_u64();
-  }
   if (const json::Value* g = perf.find("spatial_queries")) {
     r.perf.spatial_queries = g->as_u64();
   }
@@ -403,43 +399,35 @@ std::size_t scan_result_job(std::string_view line) {
   return static_cast<std::size_t>(json::parse(line).at("job").as_u64());
 }
 
-std::vector<RecordRef> scan_result_files(const std::vector<std::string>& paths) {
+std::vector<RecordRef> scan_result_file(const std::string& path) {
   std::map<std::size_t, RecordRef> by_job;  // last record wins
-  for (std::size_t fi = 0; fi < paths.size(); ++fi) {
-    for_each_line(paths[fi], 0, [&](std::uint64_t offset, const std::string& line) {
-      RecordRef ref;
-      ref.job = scan_result_job(line);
-      ref.file = fi;
-      ref.offset = offset;
-      ref.length = static_cast<std::uint32_t>(line.size());
-      by_job[ref.job] = ref;
-    });
-  }
+  for_each_line(path, 0, [&](std::uint64_t offset, const std::string& line) {
+    RecordRef ref;
+    ref.job = scan_result_job(line);
+    ref.offset = offset;
+    ref.length = static_cast<std::uint32_t>(line.size());
+    by_job[ref.job] = ref;
+  });
   std::vector<RecordRef> out;
   out.reserve(by_job.size());
   for (const auto& [_, ref] : by_job) out.push_back(ref);
   return out;
 }
 
-void for_each_result(const std::vector<std::string>& paths,
+void for_each_result(const std::string& path,
                      const std::function<void(JobRecord&&)>& fn) {
-  const std::vector<RecordRef> winners = scan_result_files(paths);
-  // One open stream per file; winners are job-ordered, not offset-ordered,
-  // so re-seek per record (reads are line-sized and page-cache-backed).
-  std::vector<std::ifstream> files;
-  files.reserve(paths.size());
-  for (const auto& p : paths) {
-    files.emplace_back(p, std::ios::binary);
-    if (!files.back()) throw ResultStoreError("cannot open results file: " + p);
-  }
+  const std::vector<RecordRef> winners = scan_result_file(path);
+  // Winners are job-ordered, not offset-ordered, so re-seek per record
+  // (reads are line-sized and page-cache-backed).
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw ResultStoreError("cannot open results file: " + path);
   std::string buf;
   for (const RecordRef& ref : winners) {
-    std::ifstream& in = files[ref.file];
     in.clear();
     in.seekg(static_cast<std::streamoff>(ref.offset));
     buf.resize(ref.length);
     if (!in.read(buf.data(), static_cast<std::streamsize>(ref.length))) {
-      throw ResultStoreError(paths[ref.file] + ": short read at offset " +
+      throw ResultStoreError(path + ": short read at offset " +
                              std::to_string(ref.offset));
     }
     fn(parse_result_line(buf));
@@ -578,9 +566,9 @@ std::vector<AggregateRow> aggregate(const std::vector<JobRecord>& records) {
   return acc.rows();
 }
 
-std::string export_aggregate_csv(const std::vector<std::string>& paths) {
+std::string export_aggregate_csv(const std::string& path) {
   AggregateAccumulator acc;
-  for_each_result(paths, [&](JobRecord&& rec) { acc.add(rec); });
+  for_each_result(path, [&](JobRecord&& rec) { acc.add(rec); });
   return aggregate_csv(acc.rows());
 }
 

@@ -99,25 +99,24 @@ std::uint64_t for_each_line(
 /// suffices; anything else falls back to a full JSON parse.
 std::size_t scan_result_job(std::string_view line);
 
-/// The winning (last-written) record of one job across an ordered set of
-/// JSONL files: later files — and later lines within a file — supersede
-/// earlier ones, mirroring load_results' last-wins dedupe.
+/// The winning (last-written) record of one job in a JSONL file: later
+/// lines supersede earlier ones (a re-run after a torn write), mirroring
+/// load_results' last-wins dedupe.
 struct RecordRef {
   std::size_t job = 0;
-  std::size_t file = 0;       // index into the paths passed to the scan
   std::uint64_t offset = 0;   // byte offset of the line start
   std::uint32_t length = 0;   // line length excluding '\n'
 };
 
-/// Pass 1 of a streaming load: scans `paths` in order, keeping one winning
-/// RecordRef per job index (blank and torn trailing lines skipped), and
-/// returns the winners sorted by job index. Memory is O(jobs), not O(bytes).
-std::vector<RecordRef> scan_result_files(const std::vector<std::string>& paths);
+/// Pass 1 of a streaming load: scans `path`, keeping one winning RecordRef
+/// per job index (blank and torn trailing lines skipped), and returns the
+/// winners sorted by job index. Memory is O(jobs), not O(bytes).
+std::vector<RecordRef> scan_result_file(const std::string& path);
 
-/// Streams every winning record of `paths` through `fn` in job-index order
+/// Streams every winning record of `path` through `fn` in job-index order
 /// without materializing more than one JobRecord at a time. Equivalent to
-/// iterating load_results(path) when given a single path.
-void for_each_result(const std::vector<std::string>& paths,
+/// iterating load_results(path).
+void for_each_result(const std::string& path,
                      const std::function<void(JobRecord&&)>& fn);
 
 /// Loads a JSONL results file: skips blank/torn lines, dedupes by job index
@@ -193,10 +192,9 @@ class AggregateAccumulator {
   std::size_t records_ = 0;
 };
 
-/// Streaming equivalent of aggregate_csv(aggregate(load_results(path))) over
-/// one or more JSONL files (later files win job-index collisions): identical
-/// bytes, O(winners) memory.
-std::string export_aggregate_csv(const std::vector<std::string>& paths);
+/// Streaming equivalent of aggregate_csv(aggregate(load_results(path))):
+/// identical bytes, O(winners) memory.
+std::string export_aggregate_csv(const std::string& path);
 
 /// Renders the aggregate table as CSV (header + one row per cell) with
 /// fixed formatting; identical inputs produce identical bytes.

@@ -25,10 +25,6 @@ double ms_between(std::chrono::steady_clock::time_point a,
 
 CampaignResult run_campaign(const Manifest& manifest, const RunnerOptions& opt,
                             const scenario::ScenarioConfig& base) {
-  if (opt.shards == 0 || opt.shard >= opt.shards) {
-    throw std::invalid_argument("runner: shard must be < shards (shards >= 1)");
-  }
-
   CampaignResult cr;
   cr.jobs = expand(manifest, base);
   cr.outcomes.assign(cr.jobs.size(), JobOutcome{});
@@ -73,9 +69,6 @@ CampaignResult run_campaign(const Manifest& manifest, const RunnerOptions& opt,
         continue;
       }
     }
-    // Jobs owned by other shards stay kNotRun here; their own worker
-    // processes run them against their own journals.
-    if (opt.shards > 1 && job.index % opt.shards != opt.shard) continue;
     pending.push_back(job.index);
   }
 

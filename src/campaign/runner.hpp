@@ -38,18 +38,10 @@ struct RunnerOptions {
   std::size_t max_jobs = 0;
   /// Progress/ETA lines on stderr after each job completes.
   bool progress = false;
-  /// Shard the pending job set across `shards` cooperating processes: this
-  /// process only claims pending jobs with index % shards == shard. Journal
-  /// skipping still covers every index, so per-shard journals carry the full
-  /// campaign digest and job count and any shard's journal resumes cleanly.
-  /// shards == 1 (the default) disables filtering.
-  std::size_t shards = 1;
-  std::size_t shard = 0;
   /// Called under the commit lock after each newly-run job is persisted
   /// (result record + journal line). `extent` locates the job's JSONL record
   /// in the results file, or is nullptr when no results file is configured
-  /// or the job failed. The serving daemon's index and metrics snapshots
-  /// hang off this.
+  /// or the job failed. The daemon rewrites its metrics.json snapshot here.
   std::function<void(const Job&, const JobOutcome&, const AppendExtent*)>
       on_commit;
   /// When set, subscribed to every job's telemetry bus (phy + mac + routing)

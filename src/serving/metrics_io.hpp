@@ -1,6 +1,7 @@
-// LiveSnapshot <-> JSON, plus the tmp+rename snapshot files worker shards
-// publish so the daemon's /metrics endpoint can merge a fleet-wide view
-// without sharing memory with the workers.
+// LiveSnapshot <-> JSON, plus the tmp+rename snapshot file a campaign run
+// rewrites after each job. The daemon's /metrics endpoint reads that file in
+// `run` and `serve` alike, so a finished store keeps reporting the counters
+// of the run that wrote it.
 #pragma once
 
 #include <optional>
@@ -14,7 +15,7 @@ namespace rcast::serving {
 std::string snapshot_to_json(const stats::LiveSnapshot& s);
 
 /// Parses snapshot_to_json output; nullopt on malformed/unreadable input
-/// (a worker mid-rename or not yet started — callers treat it as zeros).
+/// (a run that has not committed a job yet — callers treat it as zeros).
 std::optional<stats::LiveSnapshot> snapshot_from_json(const std::string& text);
 
 /// Atomically publishes a snapshot to `path` (write `path.tmp`, rename).

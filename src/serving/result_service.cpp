@@ -20,22 +20,20 @@ std::uint64_t digest_to_u64(std::string_view hex) {
   return v;
 }
 
-ResultService::ResultService(std::vector<std::string> paths)
-    : paths_(std::move(paths)), consumed_(paths_.size(), 0) {
-  for (std::size_t fi = 0; fi < paths_.size(); ++fi) index_new_lines(fi);
+ResultService::ResultService(std::string path) : path_(std::move(path)) {
+  index_new_lines();
 }
 
-std::size_t ResultService::index_new_lines(std::size_t file) {
-  // A shard file that does not exist yet reads as empty: `run --port` opens
-  // the service before its workers create their files.
+std::size_t ResultService::index_new_lines() {
+  // A file that does not exist yet reads as empty: `run --port` opens the
+  // service before the runner creates the file.
   std::error_code ec;
-  if (!std::filesystem::exists(paths_[file], ec)) return 0;
+  if (!std::filesystem::exists(path_, ec)) return 0;
   std::size_t added = 0;
   const auto index_line = [&](std::uint64_t offset, const std::string& line) {
     const campaign::JobRecord rec = campaign::parse_result_line(line);
     const scenario::ScenarioConfig& cfg = rec.cfg;
     IndexEntry e;
-    e.file = file;
     e.offset = offset;
     e.length = line.size();
     e.cfg_digest = digest_to_u64(rec.digest);
@@ -55,23 +53,20 @@ std::size_t ResultService::index_new_lines(std::size_t file) {
     // Precise invalidation: only the cell that gained a record goes cold.
     if (cache_.erase(e.cell_digest) > 0) ++stats_.invalidations;
     // Advance per line, so a malformed line is retried, not skipped.
-    consumed_[file] = offset + line.size() + 1;
+    consumed_ = offset + line.size() + 1;
     ++added;
   };
-  consumed_[file] =
-      campaign::for_each_line(paths_[file], consumed_[file], index_line);
+  consumed_ = campaign::for_each_line(path_, consumed_, index_line);
   return added;
 }
 
 std::string ResultService::read_line(const IndexEntry& e) {
-  std::ifstream in(paths_[e.file], std::ios::binary);
-  if (!in) {
-    throw IndexError("cannot open results file: " + paths_[e.file]);
-  }
+  std::ifstream in(path_, std::ios::binary);
+  if (!in) throw IndexError("cannot open results file: " + path_);
   in.seekg(static_cast<std::streamoff>(e.offset));
   std::string buf(e.length, '\0');
   if (!in.read(buf.data(), static_cast<std::streamsize>(e.length))) {
-    throw IndexError(paths_[e.file] + ": short read at offset " +
+    throw IndexError(path_ + ": short read at offset " +
                      std::to_string(e.offset));
   }
   return buf;
@@ -161,11 +156,7 @@ std::string ResultService::aggregate_csv(const AggregateFilter& filter) {
 
 std::size_t ResultService::refresh() {
   std::lock_guard<std::mutex> lock(mu_);
-  std::size_t added = 0;
-  for (std::size_t fi = 0; fi < paths_.size(); ++fi) {
-    added += index_new_lines(fi);
-  }
-  return added;
+  return index_new_lines();
 }
 
 std::size_t ResultService::record_count() const {

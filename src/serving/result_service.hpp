@@ -1,22 +1,21 @@
-// Read path of the serving daemon: a thread-safe, in-memory index over one
-// or more (shard) JSONL result files, plus a digest-keyed cache of
-// seed-averaged aggregates.
+// Read path of the serving daemon: a thread-safe, in-memory index over a
+// campaign's JSONL result file, plus a digest-keyed cache of seed-averaged
+// aggregates.
 //
-// The index lives only in memory. Opening the service walks every file with
+// The index lives only in memory. Opening the service walks the file with
 // the store's line walker (campaign::for_each_line, so export and serving
 // share one torn-tail rule), parses each complete line once, and records its
 // extent, both digests and its grid coordinates; point and cell lookups are
-// then a hash probe plus one read. refresh() walks on from each file's last
+// then a hash probe plus one read. refresh() walks on from the last
 // consumed offset, so indexing parses every line once. A file that does not
 // exist yet reads as empty until it appears. The service never writes.
 //
 // Lookup semantics mirror the campaign loader exactly: when the same job
-// index appears in several files (or several times in one file — a torn
-// write superseded by a re-run), the last-scanned record wins, and
-// aggregates fold the winning records in job-index order through
-// campaign::RunAverager — so the CSV this service exports is byte-identical
-// to campaign::export_aggregate_csv (`rcast_campaignd export`) over the
-// merged store.
+// index appears several times (a torn write superseded by a re-run), the
+// last line wins, and aggregates fold the winning records in job-index
+// order through campaign::RunAverager — so the CSV this service exports is
+// byte-identical to campaign::export_aggregate_csv (`rcast_campaignd
+// export`) over the same file.
 //
 // Cache invalidation: refresh() drops exactly the cache entries whose cell
 // gained records; untouched cells stay warm.
@@ -47,7 +46,6 @@ std::uint64_t digest_to_u64(std::string_view hex);
 /// `%016llx` renderings appear in the JSONL ("cfg_digest", cell); every
 /// coordinate keeps the config's own type.
 struct IndexEntry {
-  std::size_t file = 0;          // index into the service's paths
   std::uint64_t offset = 0;      // line start in the JSONL
   std::size_t length = 0;        // line length excluding '\n'
   std::uint64_t cfg_digest = 0;  // seed included (cfg/v2)
@@ -99,9 +97,8 @@ struct AggregateFilter {
 
 class ResultService {
  public:
-  /// Indexes every complete line of every file in `paths`. Later files win
-  /// job-index collisions, so pass shards in shard order.
-  explicit ResultService(std::vector<std::string> paths);
+  /// Indexes every complete line of the JSONL file at `path`.
+  explicit ResultService(std::string path);
 
   /// The winning record with this cfg/v2 digest, as its raw JSONL line
   /// (already valid JSON); nullopt if unknown.
@@ -113,27 +110,26 @@ class ResultService {
       std::uint64_t cell_digest);
 
   /// Aggregate CSV over every winning record that passes `filter` (default:
-  /// all of them — byte-identical to `rcast_campaignd export` on the merged
-  /// store). Rows keep first-appearance cell order, so a filtered export is
+  /// all of them — byte-identical to `rcast_campaignd export`). Rows keep first-appearance cell order, so a filtered export is
   /// exactly the unfiltered one with non-matching rows removed — except
   /// under a seed constraint, which recomputes each row from the matching
   /// subset of records.
   std::string aggregate_csv(const AggregateFilter& filter = {});
 
-  /// Indexes the complete lines appended to every file since the last walk
-  /// and invalidates the cache entries of cells that grew. Returns the
-  /// number of new records seen.
+  /// Indexes the complete lines appended since the last walk and
+  /// invalidates the cache entries of cells that grew. Returns the number of
+  /// new records seen.
   std::size_t refresh();
 
-  /// Winning records (distinct job indices) across all files — superseded
-  /// duplicates are not counted.
+  /// Winning records (distinct job indices) — superseded duplicates are not
+  /// counted.
   std::size_t record_count() const;
 
   CacheStats cache_stats() const;
 
  private:
   // All private methods assume mu_ is held.
-  std::size_t index_new_lines(std::size_t file);
+  std::size_t index_new_lines();
   std::string read_line(const IndexEntry& e);
   /// Folds the cell's winning records (only those of `seed`, if set) in
   /// job-index order; nullopt when none qualifies.
@@ -141,8 +137,8 @@ class ResultService {
       std::uint64_t cell_digest, std::optional<std::uint64_t> seed = {});
 
   mutable std::mutex mu_;
-  std::vector<std::string> paths_;
-  std::vector<std::uint64_t> consumed_;  // per file: bytes walked so far
+  const std::string path_;
+  std::uint64_t consumed_ = 0;  // bytes walked so far
   // The last-scanned record of each job index.
   std::unordered_map<std::size_t, IndexEntry> winner_by_job_;
   std::unordered_map<std::uint64_t, std::size_t> job_by_cfg_;  // digest -> job

@@ -216,10 +216,6 @@ class EventQueue {
   /// pop_batch dispatches (one per distinct fired timestamp).
   std::uint64_t dispatch_batches() const { return batches_; }
 
-  /// Handlers invoked directly from slot storage (every fire since the
-  /// in-place dispatch rework; the move-out path no longer exists).
-  std::uint64_t inplace_fires() const { return inplace_fires_; }
-
   /// Handler moves performed by the queue: one per Handler&& push (the
   /// emplace pushes construct in the slot and never move). Zero here means
   /// the schedule->fire path ran move-free end to end.
@@ -343,7 +339,6 @@ class EventQueue {
     s.live = false;
     ++s.gen;
     --live_;
-    ++inplace_fires_;
     struct Guard {
       EventQueue* q;
       Slot* s;  // chunked storage: stable across mid-fire pushes
@@ -774,7 +769,6 @@ class EventQueue {
   std::size_t depth_high_water_ = 0;
   std::uint64_t rung_spawns_ = 0;
   std::uint64_t batches_ = 0;
-  std::uint64_t inplace_fires_ = 0;
   std::uint64_t handler_moves_ = 0;
 };
 

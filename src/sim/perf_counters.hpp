@@ -29,9 +29,6 @@ struct PerfCounters {
   /// outbox drains, pre-built handlers). The emplace path constructs the
   /// callable in its slot directly, so unsharded hot-path runs keep this 0.
   std::uint64_t handler_moves = 0;
-  /// Events fired in place from slot storage (every pop/pop_batch dispatch;
-  /// sanity mirror of events_executed at the queue layer).
-  std::uint64_t inplace_fires = 0;
   /// Pool allocations served from the free list vs. carved fresh. Misses
   /// stop growing once the working set is warm.
   std::uint64_t pool_hits = 0;

@@ -62,7 +62,6 @@ void ShardedExecutor::fill_perf(PerfCounters& p) const {
     p.queue_rung_spawns += s.queue.rung_spawns();
     p.dispatch_batches += s.queue.dispatch_batches();
     p.handler_moves += s.queue.handler_moves();
-    p.inplace_fires += s.queue.inplace_fires();
   }
 }
 

@@ -69,7 +69,6 @@ PerfCounters Simulator::perf_counters() const {
     p.queue_rung_spawns = queue_.rung_spawns();
     p.dispatch_batches = queue_.dispatch_batches();
     p.handler_moves = queue_.handler_moves();
-    p.inplace_fires = queue_.inplace_fires();
   }
   const util::PoolStats pools = pools_.total_stats();
   p.pool_hits = pools.hits;

@@ -36,26 +36,6 @@ struct LiveSnapshot {
   std::uint64_t control_tx = 0;
   std::uint64_t jobs_completed = 0;
   std::uint64_t jobs_failed = 0;
-
-  LiveSnapshot& operator+=(const LiveSnapshot& o) {
-    phy_tx += o.phy_tx;
-    phy_rx_ok += o.phy_rx_ok;
-    phy_rx_lost += o.phy_rx_lost;
-    atim_tx += o.atim_tx;
-    overhear_commits += o.overhear_commits;
-    overhear_declines += o.overhear_declines;
-    mac_sleeps += o.mac_sleeps;
-    data_tx_attempts += o.data_tx_attempts;
-    data_tx_failed += o.data_tx_failed;
-    queue_drops += o.queue_drops;
-    data_originated += o.data_originated;
-    data_delivered += o.data_delivered;
-    data_dropped += o.data_dropped;
-    control_tx += o.control_tx;
-    jobs_completed += o.jobs_completed;
-    jobs_failed += o.jobs_failed;
-    return *this;
-  }
 };
 
 class LiveCounters final : public PhyEvents,

@@ -378,7 +378,6 @@ void expect_retired_perf_member_ignored(const std::string& after_key,
       r.originated = 20;
       r.delivered = 10 + i;
       r.perf.dispatch_batches = 2000 + i;
-      r.perf.inplace_fires = 1000 + i;
       std::string line = record_to_json(jobs[i], r, 1.0);
       cur << line << "\n";
       const std::size_t key = line.find("\"" + after_key + "\":");
@@ -392,21 +391,27 @@ void expect_retired_perf_member_ignored(const std::string& after_key,
   ASSERT_EQ(records.size(), jobs.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(records[i].result.perf.dispatch_batches, 2000 + i);
-    EXPECT_EQ(records[i].result.perf.inplace_fires, 1000 + i);
     EXPECT_EQ(records[i].result.delivered, 10 + i);
   }
-  const std::string want = export_aggregate_csv({current});
+  const std::string want = export_aggregate_csv(current);
   EXPECT_EQ(aggregate_csv(aggregate(records)), want);
-  EXPECT_EQ(export_aggregate_csv({legacy}), want);
+  EXPECT_EQ(export_aggregate_csv(legacy), want);
 }
 
 TEST(ResultStore, RecordWithRetiredGroupHistogramStillAggregates) {
   // The name is split so that a search of the tree for the deleted
   // mechanism comes up empty.
   expect_retired_perf_member_ignored(
-      "inplace_fires",
+      "handler_moves",
       "\"arrival_" +
           std::string("group_size_hist\":[0,1695,262,0,0,0,0,0],"));
+}
+
+// The in-place fire count sat right after handler_moves until it was
+// deleted: it always equalled events_executed.
+TEST(ResultStore, RecordWithRetiredInplaceFiresStillAggregates) {
+  expect_retired_perf_member_ignored("handler_moves",
+                                     "\"inplace_fires\":136702,");
 }
 
 // The dispatch-batch size histogram (8 log2 buckets) sat right after
@@ -454,7 +459,7 @@ TEST(ResultStore, PreV3SchemeAndRoutingKeysStillLoad) {
     EXPECT_EQ(config_digest(records[i].cfg), jobs[i].digest) << i;
     EXPECT_EQ(records[i].cfg.scheme, jobs[i].cfg.scheme) << i;
   }
-  EXPECT_EQ(export_aggregate_csv({legacy}), export_aggregate_csv({current}));
+  EXPECT_EQ(export_aggregate_csv(legacy), export_aggregate_csv(current));
 }
 
 // Records written before cfg/v4 also carry the eleven retired parameters, at
@@ -505,8 +510,8 @@ TEST(ResultStore, RetiredParamsLoadOnlyAtTheirDefaults) {
   for (std::size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(config_digest(records[i].cfg), jobs[i].digest) << i;
   }
-  EXPECT_EQ(export_aggregate_csv({parent_path}),
-            export_aggregate_csv({write("current.jsonl", current)}));
+  EXPECT_EQ(export_aggregate_csv(parent_path),
+            export_aggregate_csv(write("current.jsonl", current)));
 
   for (const auto& [from, to, key] :
        std::vector<std::tuple<std::string, std::string, std::string>>{
@@ -524,7 +529,7 @@ TEST(ResultStore, RetiredParamsLoadOnlyAtTheirDefaults) {
     ASSERT_NE(at, std::string::npos) << from;
     lines[job].replace(at, from.size(), to);
     try {
-      export_aggregate_csv({write("retired.jsonl", lines)});
+      export_aggregate_csv(write("retired.jsonl", lines));
       ADD_FAILURE() << to << " exported";
     } catch (const ResultStoreError& e) {
       const std::string what = e.what();

@@ -1,9 +1,10 @@
-// End-to-end tests of the rcast_campaignd binary: sharded runs whose merged
-// export is byte-identical to an in-process single-journal run, resume after
-// interruption, after kill -9 and after SIGINT/SIGTERM, rejection of
-// malformed counts, read-only export/status/serve, and prompt shutdown of
-// /metrics streams. These drive the real executable (path injected by CMake)
-// over tiny manifests; the HTTP checks use curl.
+// End-to-end tests of the rcast_campaignd binary: runs whose export is
+// byte-identical to an in-process run_campaign over the same layout, resume
+// after interruption, after kill -9 and after SIGINT/SIGTERM, HTTP serving
+// while a campaign runs, rejection of malformed counts and unknown flags,
+// refusal of the retired per-shard layout, read-only export/status/serve,
+// and prompt shutdown of /metrics streams. These drive the real executable
+// (path injected by CMake) over tiny manifests; the HTTP checks use curl.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -12,6 +13,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -24,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "campaign/json.hpp"
 #include "campaign/manifest.hpp"
 #include "campaign/result_store.hpp"
 #include "campaign/runner.hpp"
@@ -83,12 +86,29 @@ std::string write_manifest(const TempDir& dir) {
   return path;
 }
 
+/// `seeds` jobs of about 0.3 s each in a Release build (longer under a
+/// sanitizer), so a signal or a kill can land mid-job and HTTP queries land
+/// while jobs run.
+std::string write_slow_manifest(const TempDir& dir, int seeds = 2) {
+  const std::string path = dir.file("slow.txt");
+  std::ofstream out(path);
+  out << "name = slow\n"
+         "schemes = rcast\n"
+         "rates_pps = 1.0\n"
+         "pauses_s = 0\n"
+         "nodes = 30\n"
+         "flows = 6\n"
+         "duration_s = 300\n"
+         "seeds = " << seeds << "\n"
+         "world_m = 900x300\n";
+  return path;
+}
+
 const std::string kDaemon = RCAST_CAMPAIGND_PATH;
 
-/// The reference export for `manifest`: one in-process run_campaign over a
-/// single journal.log + results.jsonl, exported by the result store. The
-/// daemon must export that single-process directory to the same bytes, so
-/// directories in this layout stay readable.
+/// The reference export for `manifest`: one in-process run_campaign over
+/// journal.log + results.jsonl, exported by the result store. That is the
+/// daemon's own layout, so the daemon must export it to the same bytes.
 std::string reference_csv(const TempDir& dir, const std::string& manifest) {
   namespace campaign = rcast::campaign;
   const std::string out_dir = dir.file("single");
@@ -100,7 +120,7 @@ std::string reference_csv(const TempDir& dir, const std::string& manifest) {
   EXPECT_TRUE(
       campaign::run_campaign(campaign::parse_manifest_file(manifest), opt)
           .all_done());
-  const std::string csv = campaign::export_aggregate_csv({opt.results_path});
+  const std::string csv = campaign::export_aggregate_csv(opt.results_path);
 
   const std::string exported = dir.file("single.csv");
   EXPECT_EQ(run(kDaemon + " export " + manifest + " --out=" + out_dir +
@@ -111,8 +131,9 @@ std::string reference_csv(const TempDir& dir, const std::string& manifest) {
 }
 
 /// Starts the daemon with `args` as the leader of a new process group, so a
-/// group signal reaches it and its workers but not this test. Output is
-/// discarded. The returned pid is also the group id.
+/// group signal reaches it but not this test, and the group shows whether
+/// the daemon left any process behind. Output is discarded. The returned pid
+/// is also the group id.
 pid_t spawn_daemon(const std::vector<std::string>& args) {
   std::vector<std::string> owned = {kDaemon};
   owned.insert(owned.end(), args.begin(), args.end());
@@ -132,29 +153,26 @@ pid_t spawn_daemon(const std::vector<std::string>& args) {
   return pid;
 }
 
-/// True once the daemon `pid` has a child that exec'd as a worker (its
-/// cmdline starts "/proc/self/exe\0worker"), polling for up to `limit`.
-bool wait_for_worker(pid_t pid, std::chrono::milliseconds limit) {
+/// True once `path` holds a complete line starting with `prefix`, polling
+/// for up to `limit`. The journal's header line ("rcast-campaign-journal")
+/// shows a run has started; a "done" line shows a job has committed.
+bool wait_for_line(const std::string& path, const std::string& prefix,
+                   std::chrono::milliseconds limit) {
   const auto deadline = std::chrono::steady_clock::now() + limit;
   while (std::chrono::steady_clock::now() < deadline) {
-    std::error_code ec;
-    for (const auto& entry : fs::directory_iterator("/proc", ec)) {
-      // /proc/<pid>/stat: "pid (comm) state ppid ..."; comm may hold spaces.
-      const std::string stat = read_file(entry.path() / "stat");
-      const auto paren = stat.rfind(')');
-      if (paren == std::string::npos) continue;
-      std::istringstream fields(stat.substr(paren + 1));
-      std::string state;
-      pid_t ppid = 0;
-      if (!(fields >> state >> ppid) || ppid != pid) continue;
-      const std::string cmdline = read_file(entry.path() / "cmdline");
-      if (cmdline.find(std::string("\0worker\0", 8)) != std::string::npos) {
-        return true;
-      }
+    std::istringstream in(read_file(path));
+    for (std::string line; std::getline(in, line) && !in.eof();) {
+      if (line.rfind(prefix, 0) == 0) return true;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   return false;
+}
+
+/// True when no process is left in the group `pgid`.
+bool group_is_empty(pid_t pgid) {
+  const int probe = ::kill(-pgid, 0);
+  return probe == -1 && errno == ESRCH;
 }
 
 /// Reaps `pid`, polling for up to `limit`; its wait status, or -1 if it is
@@ -179,15 +197,16 @@ std::map<std::string, std::string> snapshot_tree(const std::string& dir) {
   return out;
 }
 
-/// Starts `serve` on an ephemeral port and returns (pid, port); port 0 if
-/// the daemon never wrote its port file (the daemon is then killed).
-std::pair<pid_t, int> spawn_serve(const TempDir& dir,
-                                  const std::string& manifest,
-                                  const std::string& out_dir) {
+/// Starts the daemon with `args` on an ephemeral HTTP port and returns
+/// (pid, port); port 0 if the daemon never wrote its port file (the daemon
+/// is then killed).
+std::pair<pid_t, int> spawn_listening(const TempDir& dir,
+                                      std::vector<std::string> args) {
   const std::string port_file = dir.file("port.txt");
   fs::remove(port_file);
-  const pid_t pid = spawn_daemon({"serve", manifest, "--out=" + out_dir,
-                                  "--port=0", "--port-file=" + port_file});
+  args.push_back("--port=0");
+  args.push_back("--port-file=" + port_file);
+  const pid_t pid = spawn_daemon(args);
   for (int i = 0; i < 500; ++i) {  // <= 10 s
     std::ifstream in(port_file);
     if (int port = 0; in >> port && port > 0) return {pid, port};
@@ -196,6 +215,12 @@ std::pair<pid_t, int> spawn_serve(const TempDir& dir,
   ::kill(-pid, SIGKILL);
   wait_for_exit(pid, std::chrono::seconds(10));
   return {pid, 0};
+}
+
+std::pair<pid_t, int> spawn_serve(const TempDir& dir,
+                                  const std::string& manifest,
+                                  const std::string& out_dir) {
+  return spawn_listening(dir, {"serve", manifest, "--out=" + out_dir});
 }
 
 /// GETs `target` from the daemon on `port` with curl: (HTTP status, body).
@@ -217,29 +242,37 @@ TEST(Campaignd, ShardedExportByteIdenticalToSingleProcess) {
   const std::string reference = reference_csv(dir, manifest);
   ASSERT_FALSE(reference.empty());
 
-  // The single-journal directory is read-only to the daemon: shard workers
-  // would ignore journal.log and re-run every job in it.
-  for (const char* cmd : {"run", "resume"}) {
-    EXPECT_EQ(run(kDaemon + " " + cmd + " " + manifest + " --out=" +
-                  dir.file("single") + " --shards=1 --quiet 2>/dev/null"),
-              2)
-        << cmd;
-  }
-  EXPECT_FALSE(fs::exists(dir.file("single/journal.shard0.log")));
-
-  const std::string out_dir = dir.file("sharded");
-  ASSERT_EQ(run(kDaemon + " run " + manifest + " --out=" + out_dir +
-                " --shards=3 --threads=1 --quiet 2>/dev/null"),
+  // The in-process run's directory is the daemon's layout: resume finds
+  // every job committed and runs none.
+  EXPECT_EQ(run(kDaemon + " resume " + manifest + " --out=" +
+                dir.file("single") + " --quiet 2>/dev/null"),
             0);
-  const std::string csv = dir.file("sharded.csv");
-  ASSERT_EQ(run(kDaemon + " export " + manifest + " --out=" + out_dir +
-                " --csv=" + csv + " 2>/dev/null"),
+  EXPECT_EQ(run(kDaemon + " export " + manifest + " --out=" +
+                dir.file("single") + " 2>/dev/null | cmp -s - " +
+                dir.file("single.csv")),
             0);
-  EXPECT_EQ(read_file(csv), reference);
 
-  // The store is the JSONL alone: no index file beside any shard.
-  for (const auto& entry : fs::directory_iterator(out_dir)) {
-    EXPECT_NE(entry.path().extension(), ".idx") << entry.path();
+  // One simulator thread or several: the same bytes, in the same layout.
+  for (const char* threads : {"1", "3"}) {
+    SCOPED_TRACE(std::string("--threads=") + threads);
+    const std::string out_dir = dir.file(std::string("run") + threads);
+    ASSERT_EQ(run(kDaemon + " run " + manifest + " --out=" + out_dir +
+                  " --threads=" + threads + " --quiet 2>/dev/null"),
+              0);
+    const std::string csv = out_dir + ".csv";
+    ASSERT_EQ(run(kDaemon + " export " + manifest + " --out=" + out_dir +
+                  " --csv=" + csv + " 2>/dev/null"),
+              0);
+    EXPECT_EQ(read_file(csv), reference);
+
+    // The store is the JSONL alone: no index file, one file per role.
+    std::vector<std::string> names;
+    for (const auto& entry : fs::directory_iterator(out_dir)) {
+      names.push_back(entry.path().filename().string());
+    }
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(names, (std::vector<std::string>{"journal.log", "metrics.json",
+                                               "results.jsonl"}));
   }
 }
 
@@ -249,13 +282,13 @@ TEST(Campaignd, InterruptedRunResumesByteIdentical) {
   const std::string reference = reference_csv(dir, manifest);
 
   const std::string out_dir = dir.file("interrupted");
-  // --max-jobs=1: each worker stops after one new job — a deterministic
-  // mid-campaign interruption.
+  // --max-jobs=2: the run stops claiming after two new jobs — a
+  // deterministic mid-campaign interruption.
   ASSERT_EQ(run(kDaemon + " run " + manifest + " --out=" + out_dir +
-                " --shards=2 --threads=1 --max-jobs=1 --quiet 2>/dev/null"),
+                " --threads=1 --max-jobs=2 --quiet 2>/dev/null"),
             0);
   ASSERT_EQ(run(kDaemon + " resume " + manifest + " --out=" + out_dir +
-                " --shards=2 --threads=1 --quiet 2>/dev/null"),
+                " --threads=2 --quiet 2>/dev/null"),
             0);
   const std::string csv = dir.file("resumed.csv");
   ASSERT_EQ(run(kDaemon + " export " + manifest + " --out=" + out_dir +
@@ -265,46 +298,37 @@ TEST(Campaignd, InterruptedRunResumesByteIdentical) {
 }
 
 // Ctrl-C (SIGINT to the process group) and SIGINT/SIGTERM to the daemon
-// alone each stop the daemon and every worker promptly with a nonzero exit;
-// the workers are not respawned, and `resume` then finishes the campaign
-// with the reference bytes.
+// alone each stop a run promptly, mid-job, with exit 128 + signal and no
+// process left behind, and `resume` then finishes the campaign with the
+// reference bytes. Each stop gets its own directory: the journal header
+// shows that its run has started.
 TEST(Campaignd, SignalsStopDaemonAndWorkersThenResumeFinishes) {
   TempDir dir;
-  // Two jobs of about a second each, so every signal lands mid-job.
-  const std::string manifest = dir.file("slow.txt");
-  {
-    std::ofstream out(manifest);
-    out << "name = slow\n"
-           "schemes = rcast\n"
-           "rates_pps = 1.0\n"
-           "pauses_s = 0\n"
-           "nodes = 30\n"
-           "flows = 6\n"
-           "duration_s = 600\n"
-           "seeds = 2\n"
-           "world_m = 900x300\n";
-  }
+  const std::string manifest = write_slow_manifest(dir);
   const std::string reference = reference_csv(dir, manifest);
-  const std::string out_dir = dir.file("signalled");
 
   const struct {
     int sig;
     bool group;
   } kStops[] = {{SIGTERM, false}, {SIGINT, false}, {SIGINT, true}};
-  const char* cmd = "run";
   for (const auto& stop : kStops) {
     SCOPED_TRACE(std::string(strsignal(stop.sig)) +
                  (stop.group ? " to the group" : " to the daemon"));
-    const pid_t pid = spawn_daemon({cmd, manifest, "--out=" + out_dir,
-                                    "--shards=1", "--threads=1", "--quiet"});
-    cmd = "resume";
+    const std::string out_dir = dir.file("signalled" +
+                                         std::to_string(stop.sig) +
+                                         (stop.group ? "g" : ""));
+    const pid_t pid = spawn_daemon(
+        {"run", manifest, "--out=" + out_dir, "--threads=1", "--quiet"});
     const auto kill_group = [pid] {
       ::kill(-pid, SIGKILL);
       wait_for_exit(pid, std::chrono::seconds(10));
     };
-    if (!wait_for_worker(pid, std::chrono::seconds(10))) {
+    // The header is written when the runner opens the journal, just before
+    // it claims its first job.
+    if (!wait_for_line(out_dir + "/journal.log", "rcast-campaign-journal",
+                       std::chrono::seconds(10))) {
       kill_group();
-      FAIL() << "no worker started";
+      FAIL() << "the run never opened its journal";
     }
     ASSERT_EQ(::kill(stop.group ? -pid : pid, stop.sig), 0);
     const auto t0 = std::chrono::steady_clock::now();
@@ -316,35 +340,31 @@ TEST(Campaignd, SignalsStopDaemonAndWorkersThenResumeFinishes) {
     EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
     EXPECT_TRUE(WIFEXITED(status));
     EXPECT_EQ(WEXITSTATUS(status), 128 + stop.sig);
-    // The daemon reaped every worker before exiting: the group is empty.
-    const int probe = ::kill(-pid, 0);
-    const int probe_errno = errno;
-    EXPECT_EQ(probe, -1);
-    EXPECT_EQ(probe_errno, ESRCH);
-  }
+    EXPECT_TRUE(group_is_empty(pid));
 
-  ASSERT_EQ(run(kDaemon + " resume " + manifest + " --out=" + out_dir +
-                " --shards=1 --threads=1 --quiet 2>/dev/null"),
-            0);
-  const std::string csv = dir.file("signalled.csv");
-  ASSERT_EQ(run(kDaemon + " export " + manifest + " --out=" + out_dir +
-                " --csv=" + csv + " 2>/dev/null"),
-            0);
-  EXPECT_EQ(read_file(csv), reference);
+    ASSERT_EQ(run(kDaemon + " resume " + manifest + " --out=" + out_dir +
+                  " --threads=2 --quiet 2>/dev/null"),
+              0);
+    const std::string csv = out_dir + ".csv";
+    ASSERT_EQ(run(kDaemon + " export " + manifest + " --out=" + out_dir +
+                  " --csv=" + csv + " 2>/dev/null"),
+              0);
+    EXPECT_EQ(read_file(csv), reference);
+  }
 }
 
-// Counts are validated before anything touches --out: a sign-wrapped
-// --shards=-1 would make export create results.shard<k>.jsonl files for k
-// up to 2^64.
+// Counts are validated, and flags checked against the ones the subcommand
+// reads, before anything touches --out: misspelt flags (--thread) and the
+// retired worker-fleet flags exit 2 instead of being ignored.
 TEST(Campaignd, MalformedCountsExitBeforeTouchingOut) {
   TempDir dir;
   const std::string manifest = write_manifest(dir);
   const std::string out_dir = dir.file("untouched");
   fs::create_directories(out_dir);
   for (const char* bad :
-       {"--shards=-1", "--shards=2x", "--shard=-1", "--threads=-1",
-        "--max-jobs=1.5", "--max-respawns=-1", "--http-threads=0",
-        "--port=65536", "--timeout-s=-1"}) {
+       {"--threads=-1", "--max-jobs=1.5", "--http-threads=0", "--port=65536",
+        "--timeout-s=-1", "--shards=2", "--shard=0", "--max-respawns=5",
+        "--thread=2"}) {
     for (const char* cmd : {"run", "export", "serve", "status"}) {
       // timeout: a regression must fail the test, not hang it.
       EXPECT_EQ(run("timeout -k 5 60 " + kDaemon + " " + cmd + " " +
@@ -353,6 +373,17 @@ TEST(Campaignd, MalformedCountsExitBeforeTouchingOut) {
                 2)
           << cmd << " " << bad;
     }
+  }
+  // A well-formed flag of another subcommand is unknown here too.
+  for (const auto& [cmd, flag] :
+       {std::pair<const char*, const char*>{"run", "--csv=x.csv"},
+        {"export", "--threads=2"},
+        {"serve", "--max-jobs=1"},
+        {"status", "--port=0"}}) {
+    EXPECT_EQ(run("timeout -k 5 60 " + kDaemon + " " + cmd + " " + manifest +
+                  " --out=" + out_dir + " " + flag + " 2>/dev/null"),
+              2)
+        << cmd << " " << flag;
   }
   EXPECT_TRUE(fs::is_empty(out_dir));
 }
@@ -367,46 +398,160 @@ TEST(Campaignd, SetOfManifestOwnedParamExitsBeforeTouchingOut) {
   for (const char* set : {"--set duration_s=3", "--set battery_j=50",
                           "--set world.width_m=400"}) {
     EXPECT_EQ(run("timeout -k 5 60 " + kDaemon + " run " + manifest +
-                  " --out=" + out_dir + " --shards=1 " + set +
-                  " 2>/dev/null"),
+                  " --out=" + out_dir + " " + set + " 2>/dev/null"),
               2)
         << set;
   }
   EXPECT_FALSE(fs::exists(out_dir));
 }
 
-TEST(Campaignd, KilledWorkerResumesByteIdentical) {
+// kill -9 of `run` itself once a job has committed: no process is left
+// behind to race the resume, and resume finishes with the reference bytes.
+TEST(Campaignd, KilledRunResumesByteIdentical) {
+  TempDir dir;
+  const std::string manifest = write_slow_manifest(dir);
+  const std::string reference = reference_csv(dir, manifest);
+
+  const std::string out_dir = dir.file("killed");
+  const pid_t pid = spawn_daemon(
+      {"run", manifest, "--out=" + out_dir, "--threads=1", "--quiet"});
+  const bool committed = wait_for_line(out_dir + "/journal.log", "done",
+                                       std::chrono::seconds(30));
+  ASSERT_EQ(::kill(pid, SIGKILL), 0);
+  const int status = wait_for_exit(pid, std::chrono::seconds(10));
+  if (status == -1) {
+    ::kill(-pid, SIGKILL);
+    wait_for_exit(pid, std::chrono::seconds(10));
+    FAIL() << "daemon survived SIGKILL";
+  }
+  ASSERT_TRUE(committed) << "no job committed within 30 s";
+  EXPECT_TRUE(WIFSIGNALED(status));
+  EXPECT_TRUE(group_is_empty(pid));
+
+  ASSERT_EQ(run(kDaemon + " resume " + manifest + " --out=" + out_dir +
+                " --threads=1 --quiet 2>/dev/null"),
+            0);
+  const std::string csv = dir.file("killed.csv");
+  ASSERT_EQ(run(kDaemon + " export " + manifest + " --out=" + out_dir +
+                " --csv=" + csv + " 2>/dev/null"),
+            0);
+  EXPECT_EQ(read_file(csv), reference);
+}
+
+// `run --port` serves /status, /aggregate and /metrics while its jobs run,
+// and after the run (--serve-after) its /aggregate equals `export`.
+TEST(Campaignd, RunServesWhileCampaignRuns) {
+  TempDir dir;
+  const std::string manifest = write_slow_manifest(dir, /*seeds=*/4);
+  const std::string out_dir = dir.file("served");
+  const auto [pid, port] = spawn_listening(
+      dir, {"run", manifest, "--out=" + out_dir, "--threads=2",
+            "--serve-after", "--quiet"});
+  ASSERT_GT(port, 0) << "run never bound its port";
+  // However the test ends, no daemon is left serving.
+  struct KillGroupOnExit {
+    pid_t pgid;
+    ~KillGroupOnExit() {
+      if (::kill(-pgid, SIGKILL) == 0) {
+        wait_for_exit(pgid, std::chrono::seconds(10));
+      }
+    }
+  } guard{pid};
+  const auto done_jobs = [&] {
+    const auto [status, body] = http_get(dir, port, "/status");
+    EXPECT_EQ(status, 200) << body;
+    const auto v = rcast::campaign::json::parse(body);
+    EXPECT_EQ(v.at("jobs").as_u64(), 4u) << body;
+    return v.at("done").as_u64();
+  };
+
+  // The port is bound before the first job starts, and each job takes
+  // about 0.3 s: these queries land while jobs run.
+  EXPECT_LT(done_jobs(), 4u);
+  EXPECT_EQ(http_get(dir, port, "/aggregate").first, 200);
+  const auto [metrics_status, metrics] =
+      http_get(dir, port, "/metrics?watch=1");
+  EXPECT_EQ(metrics_status, 200);
+  EXPECT_NE(metrics.find("\"jobs_completed\":"), std::string::npos) << metrics;
+
+  for (int i = 0; i < 600 && done_jobs() < 4; ++i) {  // <= 60 s
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  ASSERT_EQ(done_jobs(), 4u);
+  const std::string csv = dir.file("served.csv");
+  ASSERT_EQ(run(kDaemon + " export " + manifest + " --out=" + out_dir +
+                " --csv=" + csv + " 2>/dev/null"),
+            0);
+  const std::string exported = read_file(csv);
+  std::pair<int, std::string> served;
+  for (int i = 0; i < 50; ++i) {  // the index refreshes at most every 200 ms
+    served = http_get(dir, port, "/aggregate");
+    if (served.second == exported) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  EXPECT_EQ(served, std::make_pair(200, exported));
+
+  ASSERT_EQ(::kill(pid, SIGTERM), 0);
+  const int status = wait_for_exit(pid, std::chrono::seconds(10));
+  ASSERT_NE(status, -1) << "daemon still serving 10 s after SIGTERM";
+  EXPECT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_TRUE(group_is_empty(pid));
+}
+
+// A directory in the per-shard layout that `run` wrote while it forked
+// worker processes is refused by every subcommand, which names the file
+// and leaves the directory as it was. After the merge the message names,
+// export gives the reference bytes.
+TEST(Campaignd, ShardLayoutIsRefusedUntilMerged) {
   TempDir dir;
   const std::string manifest = write_manifest(dir);
   const std::string reference = reference_csv(dir, manifest);
 
-  // Start one worker shard directly in the background, kill -9 it as soon
-  // as its journal shows progress, then resume the whole fleet.
-  const std::string out_dir = dir.file("killed");
-  fs::create_directories(out_dir);
-  const std::string pid_file = dir.file("worker.pid");
-  ASSERT_EQ(run(kDaemon + " worker " + manifest + " --out=" + out_dir +
-                " --shards=1 --shard=0 --threads=1 --quiet 2>/dev/null & "
-                "echo $! > " + pid_file),
-            0);
-
-  const std::string journal = out_dir + "/journal.shard0.log";
-  for (int i = 0; i < 200; ++i) {  // wait for >=1 committed job (<=10 s)
-    std::ifstream in(journal);
-    std::string line;
-    int lines = 0;
-    while (std::getline(in, line)) ++lines;
-    if (lines >= 2) break;  // header + at least one commit
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // Split the reference store as two workers would have written it.
+  const std::string old_dir = dir.file("old");
+  fs::create_directories(old_dir);
+  {
+    std::ofstream shard[2] = {
+        std::ofstream(old_dir + "/results.shard0.jsonl", std::ios::binary),
+        std::ofstream(old_dir + "/results.shard1.jsonl", std::ios::binary)};
+    std::istringstream in(read_file(dir.file("single/results.jsonl")));
+    for (std::string line; std::getline(in, line);) {
+      shard[rcast::campaign::scan_result_job(line) % 2] << line << '\n';
+    }
   }
-  run("kill -9 $(cat " + pid_file + ") 2>/dev/null; wait 2>/dev/null");
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // A journal alone marks the layout too.
+  const std::string journal_only = dir.file("journal_only");
+  fs::create_directories(journal_only);
+  fs::copy_file(dir.file("single/journal.log"),
+                journal_only + "/journal.shard0.log");
 
-  ASSERT_EQ(run(kDaemon + " resume " + manifest + " --out=" + out_dir +
-                " --shards=1 --threads=1 --quiet 2>/dev/null"),
+  for (const auto& [out_dir, file] :
+       {std::pair<std::string, std::string>{old_dir, "results.shard0.jsonl"},
+        {journal_only, "journal.shard0.log"}}) {
+    const auto before = snapshot_tree(out_dir);
+    for (const char* cmd : {"run", "resume", "serve", "export", "status"}) {
+      const std::string err = dir.file("err.txt");
+      EXPECT_EQ(run("timeout -k 5 60 " + kDaemon + " " + cmd + " " +
+                    manifest + " --out=" + out_dir + " 2>" + err +
+                    " >/dev/null"),
+                2)
+          << cmd << " " << out_dir;
+      EXPECT_NE(read_file(err).find(out_dir + "/" + file), std::string::npos)
+          << cmd << ": " << read_file(err);
+      EXPECT_NE(read_file(err).find("cat results.shard*.jsonl > results.jsonl"),
+                std::string::npos)
+          << cmd << ": " << read_file(err);
+    }
+    EXPECT_EQ(snapshot_tree(out_dir), before);
+  }
+
+  ASSERT_EQ(run("cd " + old_dir +
+                " && cat results.shard*.jsonl > results.jsonl"
+                " && rm results.shard*.jsonl"),
             0);
-  const std::string csv = dir.file("killed.csv");
-  ASSERT_EQ(run(kDaemon + " export " + manifest + " --out=" + out_dir +
+  const std::string csv = dir.file("merged.csv");
+  ASSERT_EQ(run(kDaemon + " export " + manifest + " --out=" + old_dir +
                 " --csv=" + csv + " 2>/dev/null"),
             0);
   EXPECT_EQ(read_file(csv), reference);
@@ -417,19 +562,14 @@ TEST(Campaignd, StatusReportsShardProgress) {
   const std::string manifest = write_manifest(dir);
   const std::string out_dir = dir.file("status");
   ASSERT_EQ(run(kDaemon + " run " + manifest + " --out=" + out_dir +
-                " --shards=2 --threads=1 --quiet 2>/dev/null"),
+                " --threads=2 --quiet 2>/dev/null"),
             0);
   const std::string out_file = dir.file("status.txt");
   ASSERT_EQ(run(kDaemon + " status " + manifest + " --out=" + out_dir +
                 " > " + out_file + " 2>/dev/null"),
             0);
-  const std::string status = read_file(out_file);
-  EXPECT_NE(status.find("campaign 'e2e': 6 jobs, 2 shard journal(s)"),
-            std::string::npos)
-      << status;
-  EXPECT_NE(status.find("total: 6/6 done (6 ok, 0 failed)"),
-            std::string::npos)
-      << status;
+  EXPECT_EQ(read_file(out_file),
+            "campaign 'e2e': 6 jobs\ntotal: 6/6 done (6 ok, 0 failed)\n");
 
   // Journal indices name jobs of the campaign that wrote them: other --set
   // flags expand to other jobs, so status refuses instead of miscounting.
@@ -443,14 +583,14 @@ TEST(Campaignd, StatusReportsShardProgress) {
 }
 
 // export, status and serve (with a query) leave --out byte-for-byte as they
-// found it: no index files, no empty shard files. An export naming a shard
-// that does not exist fails and names the file.
+// found it: no index files, no empty files. An export of a directory with
+// no store fails, names the file and creates nothing.
 TEST(Campaignd, ExportStatusServeWriteNothingUnderOut) {
   TempDir dir;
   const std::string manifest = write_manifest(dir);
   const std::string out_dir = dir.file("store");
   ASSERT_EQ(run(kDaemon + " run " + manifest + " --out=" + out_dir +
-                " --shards=2 --threads=1 --quiet 2>/dev/null"),
+                " --threads=2 --quiet 2>/dev/null"),
             0);
   const auto before = snapshot_tree(out_dir);
 
@@ -462,11 +602,13 @@ TEST(Campaignd, ExportStatusServeWriteNothingUnderOut) {
                 " >/dev/null 2>&1"),
             0);
   const std::string err = dir.file("export.err");
-  EXPECT_EQ(run(kDaemon + " export " + manifest + " --out=" + out_dir +
-                " --shards=4 >/dev/null 2>" + err),
-            1);
-  EXPECT_NE(read_file(err).find("results.shard2.jsonl"), std::string::npos)
+  const std::string missing = dir.file("missing");
+  EXPECT_EQ(run(kDaemon + " export " + manifest + " --out=" + missing +
+                " >/dev/null 2>" + err),
+            2);
+  EXPECT_NE(read_file(err).find(missing + "/results.jsonl"), std::string::npos)
       << read_file(err);
+  EXPECT_FALSE(fs::exists(missing));
 
   const auto [pid, port] = spawn_serve(dir, manifest, out_dir);
   ASSERT_GT(port, 0) << "serve never bound its port";
@@ -499,10 +641,13 @@ TEST(Campaignd, ExportStatusServeWriteNothingUnderOut) {
   EXPECT_NE(wait_for_exit(pid, std::chrono::seconds(10)), -1);
 
   EXPECT_EQ(snapshot_tree(out_dir), before);
-  // The retired index subcommand is an unknown one now.
-  EXPECT_EQ(run(kDaemon + " reindex " + manifest + " --out=" + out_dir +
-                " 2>/dev/null"),
-            2);
+  // The retired index and worker subcommands are unknown ones now.
+  for (const char* retired : {"reindex", "worker"}) {
+    EXPECT_EQ(run(kDaemon + " " + retired + " " + manifest + " --out=" +
+                  out_dir + " 2>/dev/null"),
+              2)
+        << retired;
+  }
 }
 
 // /metrics validates its stream parameters, and a long-interval stream does
@@ -513,15 +658,20 @@ TEST(Campaignd, MetricsStreamStopsPromptlyOnSigterm) {
   const std::string manifest = write_manifest(dir);
   const std::string out_dir = dir.file("store");
   ASSERT_EQ(run(kDaemon + " run " + manifest + " --out=" + out_dir +
-                " --shards=1 --threads=1 --quiet 2>/dev/null"),
+                " --threads=1 --quiet 2>/dev/null"),
             0);
   const auto [pid, port] = spawn_serve(dir, manifest, out_dir);
   ASSERT_GT(port, 0) << "serve never bound its port";
 
+  // serve reads the counters the run left in metrics.json.
+  const auto [metrics_status, metrics] =
+      http_get(dir, port, "/metrics?watch=1&interval-ms=1");
+  EXPECT_EQ(metrics_status, 200);
+  EXPECT_NE(metrics.find("\"jobs_completed\":6,"), std::string::npos)
+      << metrics;
   EXPECT_EQ(http_get(dir, port, "/metrics?watch=abc").first, 400);
   EXPECT_EQ(http_get(dir, port, "/metrics?interval-ms=-5").first, 400);
   EXPECT_EQ(http_get(dir, port, "/metrics?interval-ms=86400001").first, 400);
-  EXPECT_EQ(http_get(dir, port, "/metrics?watch=1&interval-ms=1").first, 200);
 
   // Open a two-chunk stream 20 s apart; once its first chunk has arrived,
   // the stream is asleep inside its interval.

@@ -1,42 +1,43 @@
-// rcast_campaignd — the campaign CLI. `run` shards a manifest grid across
-// supervised worker *processes* (--shards=1 is a plain single-worker run)
-// and can serve the growing result store over HTTP while the fleet runs.
-// The merged export of a sharded run — even one that was kill -9'd and
-// resumed — is byte-identical to an uninterrupted --shards=1 run.
-// SIGINT/SIGTERM stop the daemon and its workers (exit 128+signal).
+// rcast_campaignd — the campaign CLI. `run` executes a manifest's grid in
+// this process on a pool of --threads simulator threads and can serve the
+// growing result store over HTTP while it runs. A run stopped at any point
+// (Ctrl-C, SIGTERM, kill -9) finishes with `resume`, and its export is
+// byte-identical to an uninterrupted run's. SIGINT/SIGTERM stop run/resume
+// at once, mid-job, with exit 128+signal: the journal makes that safe.
 //
-//   rcast_campaignd run     MANIFEST --out=DIR [--shards=N] [--port=P]
+//   rcast_campaignd run     MANIFEST --out=DIR [--threads=N] [--port=P]
 //   rcast_campaignd resume  MANIFEST --out=DIR [same knobs]
 //   rcast_campaignd serve   MANIFEST --out=DIR --port=P
 //   rcast_campaignd export  MANIFEST --out=DIR [--csv=FILE]
 //   rcast_campaignd status  MANIFEST --out=DIR
-//   rcast_campaignd worker  MANIFEST --out=DIR --shards=N --shard=K  (internal)
 //
-// Layout under DIR: journal.shard<k>.log, results.shard<k>.jsonl,
-// metrics.shard<k>.json; export/serve/status also read the single-journal
-// layout (journal.log + results.jsonl), and write nothing under DIR. Workers
-// are resumable idempotent units: the supervisor re-execs any worker that
-// dies to a signal and the journal resume path absorbs the loss. Endpoints:
-// /status (fleet + journal + cache view), /results?digest=<16hex> (point
-// lookup via the in-memory index), /aggregate?cell=<16hex> (memoized
-// seed-average), /aggregate (full CSV, optionally filtered by grid
-// coordinates: ?scheme=rcast&routing=dsr&nodes=60&flows=8&rate_pps=4
+// Layout under DIR: journal.log (the commit point), results.jsonl (one
+// record per job: the whole store) and metrics.json (live counters,
+// rewritten after each job); export/serve/status write nothing under DIR.
+// Endpoints: /status (journal + cache view), /results?digest=<16hex>
+// (point lookup via the in-memory index), /aggregate?cell=<16hex>
+// (memoized seed-average), /aggregate (full CSV, optionally filtered by
+// grid coordinates: ?scheme=rcast&routing=dsr&nodes=60&flows=8&rate_pps=4
 // &pause_s=30&duration_s=900&seed=3), /metrics[?watch=N&interval-ms=M]
-// (chunked live counter stream merged across shards).
+// (chunked live counter stream).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -50,7 +51,6 @@
 #include "serving/http_server.hpp"
 #include "serving/metrics_io.hpp"
 #include "serving/result_service.hpp"
-#include "serving/shard_supervisor.hpp"
 #include "stats/live_counters.hpp"
 #include "util/flags.hpp"
 
@@ -60,7 +60,8 @@ using namespace rcast;
 namespace fs = std::filesystem;
 
 // The signal that asked run/resume/serve to stop; 0 while running. Atomic:
-// the handler may run on an HTTP thread while the main thread polls.
+// the handler may run on a simulator or HTTP thread while the main thread
+// polls.
 std::atomic<int> g_stop{0};
 static_assert(std::atomic<int>::is_always_lock_free);  // signal-safe
 void on_signal(int sig) { g_stop = sig; }
@@ -72,44 +73,52 @@ void print_usage() {
       "  rcast_campaignd run     MANIFEST --out=DIR   start a campaign\n"
       "  rcast_campaignd resume  MANIFEST --out=DIR   finish after a stop\n"
       "  rcast_campaignd serve   MANIFEST --out=DIR   HTTP over a stored one\n"
-      "  rcast_campaignd export  MANIFEST --out=DIR   merged aggregate CSV\n"
-      "  rcast_campaignd status  MANIFEST --out=DIR   per-shard progress\n"
+      "  rcast_campaignd export  MANIFEST --out=DIR   aggregate CSV\n"
+      "  rcast_campaignd status  MANIFEST --out=DIR   progress\n"
       "\n"
-      "  --out=DIR        campaign directory (journal/results/metrics per "
-      "shard)\n"
-      "  --shards=N       worker processes        (default: 1)\n"
+      "  --out=DIR        campaign directory (journal.log, results.jsonl,\n"
+      "                   metrics.json)\n"
+      "  --threads=N      simulator threads       (default: hardware)\n"
       "  --port=P         serve HTTP on 127.0.0.1:P (0 = ephemeral; run/serve)\n"
       "  --port-file=F    write the bound port to F (useful with --port=0)\n"
-      "  --serve-after    keep serving after the fleet finishes (run mode)\n"
-      "  --threads=N      sim threads per worker  (default: hardware)\n"
+      "  --serve-after    keep serving after the campaign finishes (run mode)\n"
       "  --http-threads=N HTTP connection workers (default: 4)\n"
       "  --timeout-s=S    per-job wall budget     (default: none)\n"
-      "  --max-jobs=N     per-worker new-job cutoff (interruption testing)\n"
-      "  --max-respawns=N signal deaths tolerated per worker (default: 5)\n"
+      "  --max-jobs=N     new-job cutoff (interruption testing)\n"
       "  --csv=FILE       export target           (default: stdout)\n"
       "  --set KEY=VALUE  override a registered parameter (repeatable; pass\n"
       "                   the same --set flags to every subcommand)\n"
       "  --help-params    list every registered parameter: each is also a\n"
       "                   manifest key (a list of values adds a sweep axis)\n"
-      "  --quiet          suppress worker progress lines\n"
+      "  --quiet          suppress per-job progress lines\n"
       "\n"
       "HTTP endpoints: /status, /results?digest=<16hex>,\n"
       "/aggregate?cell=<16hex>, /aggregate (CSV), /metrics[?watch=N].\n"
-      "Workers are idempotent resumable units: kill -9 any of them (or the\n"
-      "whole daemon) and `resume` — the merged export stays byte-identical.\n"
-      "Ctrl-C or SIGTERM stops the daemon and its workers; `resume` goes on.");
+      "Stop a run at any point (Ctrl-C, SIGTERM, kill -9) and `resume` it:\n"
+      "the export stays byte-identical to an uninterrupted run's.");
 }
 
 // ----------------------------------------------------------------- flags --
 
-/// The numeric flags, parsed and range-checked before anything touches
-/// --out (a sign-wrapped --shards=-1 would otherwise create 2^64 files).
+/// The flags each subcommand reads besides --out and --set. Any other flag
+/// exits 2 before --out is touched, so a misspelt or retired flag fails
+/// loudly instead of being ignored.
+const std::vector<std::string> kRunFlags = {
+    "threads", "timeout-s", "max-jobs",    "quiet",
+    "port",    "port-file", "serve-after", "http-threads"};
+const std::map<std::string, std::vector<std::string>> kSubcommandFlags = {
+    {"run", kRunFlags},
+    {"resume", kRunFlags},
+    {"serve", {"port", "port-file", "http-threads"}},
+    {"export", {"csv"}},
+    {"status", {}},
+};
+
+/// The numeric flags, parsed strictly and range-checked before anything
+/// touches --out.
 struct Counts {
-  std::size_t shards = 0;  // 0: export/serve discover; run uses 1
-  std::size_t shard = 0;
   std::size_t threads = 0;  // 0 = hardware concurrency
   std::size_t max_jobs = 0;
-  int max_respawns = 5;
   std::size_t http_threads = 4;
   std::uint16_t port = 0;
 };
@@ -141,77 +150,63 @@ bool parse_counts(const Flags& flags, Counts& c) {
                  timeout.c_str());
     return false;
   }
-  return read_count(flags, "shards", 0, kMaxProcs, c.shards) &&
-         read_count(flags, "shard", 0, kMaxProcs - 1, c.shard) &&
-         read_count(flags, "threads", 0, kMaxProcs, c.threads) &&
+  return read_count(flags, "threads", 0, kMaxProcs, c.threads) &&
          read_count(flags, "max-jobs", 0, SIZE_MAX, c.max_jobs) &&
-         read_count(flags, "max-respawns", 0, 1000, c.max_respawns) &&
          read_count(flags, "http-threads", 1, kMaxProcs, c.http_threads) &&
          read_count(flags, "port", 0, 65535, c.port);
 }
 
 // ---------------------------------------------------------------- layout --
 
-std::string journal_path(const std::string& out_dir, std::size_t k) {
-  return out_dir + "/journal.shard" + std::to_string(k) + ".log";
+std::string journal_path(const std::string& out_dir) {
+  return out_dir + "/journal.log";
 }
-std::string results_path(const std::string& out_dir, std::size_t k) {
-  return out_dir + "/results.shard" + std::to_string(k) + ".jsonl";
+std::string results_path(const std::string& out_dir) {
+  return out_dir + "/results.jsonl";
 }
-std::string metrics_path(const std::string& out_dir, std::size_t k) {
-  return out_dir + "/metrics.shard" + std::to_string(k) + ".json";
-}
-
-/// Result files of a campaign directory, in precedence order (later wins):
-/// a single-process results.jsonl first if present, then shard files
-/// ascending. With `shards` > 0 the shard set is exactly 0..N-1, whether or
-/// not each file exists yet: the service reads a missing file as empty, and
-/// export fails naming it. Creates nothing.
-std::vector<std::string> discover_results(const std::string& out_dir,
-                                          std::size_t shards) {
-  std::vector<std::string> paths;
-  const std::string single = out_dir + "/results.jsonl";
-  if (fs::exists(single)) paths.push_back(single);
-  if (shards > 0) {
-    for (std::size_t k = 0; k < shards; ++k) {
-      paths.push_back(results_path(out_dir, k));
-    }
-  } else {
-    for (std::size_t k = 0;; ++k) {
-      const std::string p = results_path(out_dir, k);
-      if (!fs::exists(p)) break;
-      paths.push_back(p);
-    }
-  }
-  return paths;
+std::string metrics_path(const std::string& out_dir) {
+  return out_dir + "/metrics.json";
 }
 
-/// Shard journals present in a campaign directory (shard index, path),
-/// including a single-process journal.log as shard 0 when no shard
-/// journals exist.
-std::vector<std::pair<std::size_t, std::string>> discover_journals(
-    const std::string& out_dir) {
-  std::vector<std::pair<std::size_t, std::string>> out;
-  for (std::size_t k = 0;; ++k) {
-    const std::string p = journal_path(out_dir, k);
-    if (!fs::exists(p)) break;
-    out.emplace_back(k, p);
+/// Directories written while `run` forked one worker process per shard hold
+/// a journal and a result file per shard. No subcommand reads them; this
+/// names the file and the merge that makes the store exportable again.
+bool is_shard_layout(const std::string& out_dir) {
+  for (const char* name : {"journal.shard0.log", "results.shard0.jsonl"}) {
+    const std::string path = out_dir + "/" + name;
+    if (fs::exists(path)) {
+      std::fprintf(stderr,
+                   "%s: per-shard layout of an older rcast_campaignd. In %s, "
+                   "run `cat results.shard*.jsonl > results.jsonl` and delete "
+                   "the *.shard* files; export, serve and status then read "
+                   "the merged store. The shard journals cannot be resumed.\n",
+                   path.c_str(), out_dir.c_str());
+      return true;
+    }
   }
-  if (out.empty() && fs::exists(out_dir + "/journal.log")) {
-    out.emplace_back(0, out_dir + "/journal.log");
+  return false;
+}
+
+/// Committed (ok, failed) jobs in the campaign's journal; zeros before the
+/// run has written its header.
+std::pair<std::size_t, std::size_t> journal_counts(const std::string& out_dir) {
+  std::size_t ok = 0, failed = 0;
+  try {
+    const campaign::JournalView v =
+        campaign::Journal::load(journal_path(out_dir));
+    for (const auto& [_, e] : v.entries) (e.ok ? ok : failed) += 1;
+  } catch (const campaign::JournalError&) {
   }
-  return out;
+  return {ok, failed};
 }
 
 // ------------------------------------------------------------ HTTP layer --
 
 struct ServeContext {
   serving::ResultService* svc = nullptr;
-  serving::ShardSupervisor* sup = nullptr;  // null in pure serve mode
   std::string out_dir;
   std::string campaign_name;
   std::size_t job_count = 0;
-  std::size_t shards = 1;
 
   std::mutex refresh_mu;
   std::chrono::steady_clock::time_point last_refresh{};
@@ -233,16 +228,6 @@ struct ServeContext {
     last_refresh = std::chrono::steady_clock::now();
     svc->refresh();
   }
-
-  stats::LiveSnapshot merged_metrics() const {
-    stats::LiveSnapshot total;
-    for (std::size_t k = 0; k < shards; ++k) {
-      if (auto s = serving::read_snapshot_file(metrics_path(out_dir, k))) {
-        total += *s;
-      }
-    }
-    return total;
-  }
 };
 
 serving::HttpResponse error_response(int status, const std::string& message) {
@@ -260,42 +245,10 @@ std::string status_json(ServeContext& ctx) {
   w.key("campaign").value(ctx.campaign_name);
   w.key("jobs").value(static_cast<std::uint64_t>(ctx.job_count));
   w.key("records").value(static_cast<std::uint64_t>(ctx.svc->record_count()));
-  std::size_t ok = 0, failed = 0;
-  w.key("shards").begin_array();
-  for (const auto& [k, path] : discover_journals(ctx.out_dir)) {
-    std::size_t sok = 0, sfailed = 0;
-    try {
-      const campaign::JournalView v = campaign::Journal::load(path);
-      for (const auto& [_, e] : v.entries) (e.ok ? sok : sfailed) += 1;
-    } catch (const std::exception&) {
-      // Worker hasn't written its header yet — report the shard as empty.
-    }
-    ok += sok;
-    failed += sfailed;
-    w.begin_object();
-    w.key("shard").value(static_cast<std::uint64_t>(k));
-    w.key("done").value(static_cast<std::uint64_t>(sok + sfailed));
-    w.key("ok").value(static_cast<std::uint64_t>(sok));
-    w.key("failed").value(static_cast<std::uint64_t>(sfailed));
-    w.end_object();
-  }
-  w.end_array();
+  const auto [ok, failed] = journal_counts(ctx.out_dir);
   w.key("done").value(static_cast<std::uint64_t>(ok + failed));
   w.key("ok").value(static_cast<std::uint64_t>(ok));
   w.key("failed").value(static_cast<std::uint64_t>(failed));
-  if (ctx.sup != nullptr) {
-    w.key("workers").begin_array();
-    for (const serving::WorkerStatus& ws : ctx.sup->status()) {
-      w.begin_object();
-      w.key("pid").value(static_cast<std::int64_t>(ws.pid));
-      w.key("running").value(ws.running);
-      w.key("respawns").value(static_cast<std::int64_t>(ws.respawns));
-      w.key("exit_code").value(static_cast<std::int64_t>(ws.exit_code));
-      w.key("gave_up").value(ws.gave_up);
-      w.end_object();
-    }
-    w.end_array();
-  }
   const serving::CacheStats cs = ctx.svc->cache_stats();
   w.key("cache").begin_object();
   w.key("hits").value(cs.hits);
@@ -481,7 +434,9 @@ serving::HttpServer::Handler make_handler(std::shared_ptr<ServeContext> ctx) {
           if (g_stop) return false;
         }
         --state->first;
-        chunk = serving::snapshot_to_json(ctx->merged_metrics());
+        chunk = serving::snapshot_to_json(
+            serving::read_snapshot_file(metrics_path(ctx->out_dir))
+                .value_or(stats::LiveSnapshot{}));
         chunk += '\n';
         return true;
       };
@@ -493,41 +448,6 @@ serving::HttpServer::Handler make_handler(std::shared_ptr<ServeContext> ctx) {
 }
 
 // ------------------------------------------------------------ subcommands --
-
-int cmd_worker(const campaign::Manifest& manifest,
-               const scenario::ScenarioConfig& base,
-               const std::string& out_dir, const Flags& flags,
-               const Counts& counts) {
-  const std::size_t shards = std::max<std::size_t>(1, counts.shards);
-  const std::size_t shard = counts.shard;
-
-  campaign::RunnerOptions opt;
-  opt.journal_path = journal_path(out_dir, shard);
-  opt.results_path = results_path(out_dir, shard);
-  opt.threads = counts.threads;
-  opt.job_timeout_s = flags.get_double("timeout-s", 0.0);
-  opt.max_jobs = counts.max_jobs;
-  opt.progress = !flags.get_bool("quiet", false);
-  opt.shards = shards;
-  opt.shard = shard;
-
-  stats::LiveCounters live;
-  opt.live = &live;
-
-  // Each commit publishes the shard's live counters for /metrics.
-  const std::string metrics = metrics_path(out_dir, shard);
-  opt.on_commit = [&](const campaign::Job&, const campaign::JobOutcome&,
-                      const campaign::AppendExtent*) {
-    serving::write_snapshot_file(metrics, live.snapshot());
-  };
-
-  const campaign::CampaignResult r =
-      campaign::run_campaign(manifest, opt, base);
-  std::fprintf(stderr,
-               "shard %zu/%zu: %zu ok, %zu failed, %zu resumed, %zu not run\n",
-               shard, shards, r.completed, r.failed, r.skipped, r.remaining);
-  return r.failed > 0 ? 1 : 0;
-}
 
 /// Serve loop shared by `serve` and `run --serve-after`: blocks until
 /// SIGINT/SIGTERM.
@@ -545,125 +465,95 @@ void write_port_file(const Flags& flags, std::uint16_t port) {
 }
 
 int cmd_run(const campaign::Manifest& manifest,
-            const scenario::ScenarioConfig& base,
-            const std::string& manifest_path, const std::string& out_dir,
+            const scenario::ScenarioConfig& base, const std::string& out_dir,
             const Flags& flags, const Counts& counts, bool resume) {
-  const std::size_t shards = std::max<std::size_t>(1, counts.shards);
   const auto jobs = campaign::expand(manifest, base);  // validate early
-
-  // Shard workers never read journal.log: they would re-run all its jobs.
-  if (fs::exists(out_dir + "/journal.log")) {
-    std::fprintf(stderr, "%s has the single-journal layout: export, serve "
-                 "or status it; run/resume cannot continue it\n",
+  if (!resume && fs::exists(journal_path(out_dir))) {
+    std::fprintf(stderr, "%s already has a journal — use `resume`\n",
                  out_dir.c_str());
     return 2;
   }
-  if (!resume) {
-    for (std::size_t k = 0; k < shards; ++k) {
-      if (fs::exists(journal_path(out_dir, k))) {
-        std::fprintf(stderr,
-                     "%s already has shard journals — use `resume`\n",
-                     out_dir.c_str());
-        return 2;
-      }
-    }
-  }
   fs::create_directories(out_dir);
 
-  // Worker argvs: this binary re-execs itself as `worker` per shard.
-  std::vector<std::vector<std::string>> argvs;
-  for (std::size_t k = 0; k < shards; ++k) {
-    std::vector<std::string> argv = {
-        "/proc/self/exe",
-        "worker",
-        manifest_path,
-        "--out=" + out_dir,
-        "--shards=" + std::to_string(shards),
-        "--shard=" + std::to_string(k),
-    };
-    for (const char* forwarded : {"threads", "timeout-s", "max-jobs"}) {
-      if (flags.has(forwarded)) {  // validated by parse_counts
-        argv.push_back(std::string("--") + forwarded + "=" +
-                       flags.get_string(forwarded, ""));
-      }
-    }
-    if (flags.get_bool("quiet", false)) argv.push_back("--quiet");
-    for (const std::string& kv : flags.get_all("set")) {
-      argv.push_back("--set=" + kv);
-    }
-    argvs.push_back(std::move(argv));
-  }
+  campaign::RunnerOptions opt;
+  opt.journal_path = journal_path(out_dir);
+  opt.results_path = results_path(out_dir);
+  opt.threads = counts.threads;
+  opt.job_timeout_s = flags.get_double("timeout-s", 0.0);
+  opt.max_jobs = counts.max_jobs;
+  opt.progress = !flags.get_bool("quiet", false);
 
-  serving::ShardSupervisor sup(counts.max_respawns);
-  sup.start(argvs);
+  stats::LiveCounters live;
+  opt.live = &live;
+  // Each commit publishes the live counters for /metrics.
+  const std::string metrics = metrics_path(out_dir);
+  opt.on_commit = [&](const campaign::Job&, const campaign::JobOutcome&,
+                      const campaign::AppendExtent*) {
+    serving::write_snapshot_file(metrics, live.snapshot());
+  };
 
-  // Optional serving layer over the store the fleet is writing.
+  // Optional serving layer over the store the runner is writing.
   std::unique_ptr<serving::ResultService> svc;
   std::unique_ptr<serving::HttpServer> server;
-  std::shared_ptr<ServeContext> ctx;
   if (flags.has("port")) {
-    svc = std::make_unique<serving::ResultService>(
-        discover_results(out_dir, shards));
-    ctx = std::make_shared<ServeContext>();
+    svc = std::make_unique<serving::ResultService>(opt.results_path);
+    auto ctx = std::make_shared<ServeContext>();
     ctx->svc = svc.get();
-    ctx->sup = &sup;
     ctx->out_dir = out_dir;
     ctx->campaign_name = manifest.name;
     ctx->job_count = jobs.size();
-    ctx->shards = shards;
     server = std::make_unique<serving::HttpServer>(
         counts.port, make_handler(ctx), counts.http_threads);
     std::fprintf(stderr, "serving on 127.0.0.1:%u\n", server->port());
     write_port_file(flags, server->port());
   }
 
-  const bool all_ok = sup.wait_all([] { return g_stop != 0; });
-  const int stopped_by = g_stop;
-
-  std::size_t ok = 0, failed = 0;
-  for (const auto& journal : discover_journals(out_dir)) {
-    try {
-      const campaign::JournalView v = campaign::Journal::load(journal.second);
-      for (const auto& [_, e] : v.entries) (e.ok ? ok : failed) += 1;
-    } catch (const std::exception&) {
-    }
+  // The grid runs on its own thread so that this one answers a stop signal
+  // within a poll interval, even mid-job. A stop does not wait for jobs in
+  // flight: the journal is the commit point, so `resume` re-runs them.
+  auto running = std::async(std::launch::async, [&] {
+    return campaign::run_campaign(manifest, opt, base);
+  });
+  while (running.wait_for(std::chrono::milliseconds(20)) !=
+             std::future_status::ready &&
+         !g_stop) {
   }
-  std::fprintf(stderr,
-               "campaign '%s': %zu/%zu jobs done (%zu ok, %zu failed) across "
-               "%zu shard%s\n",
-               manifest.name.c_str(), ok + failed, jobs.size(), ok, failed,
-               shards, shards == 1 ? "" : "s");
+  if (const int sig = g_stop) {
+    std::fprintf(stderr, "stopped by signal %d — `resume` to finish\n", sig);
+    std::_Exit(128 + sig);
+  }
+  const campaign::CampaignResult r = running.get();
 
-  if (stopped_by != 0) {
-    std::fprintf(stderr, "stopped by signal %d — `resume` to finish\n",
-                 stopped_by);
-  } else if (server && flags.get_bool("serve-after", false)) {
-    std::fprintf(stderr, "fleet done — still serving (Ctrl-C to stop)\n");
+  const auto [ok, failed] = journal_counts(out_dir);
+  std::fprintf(stderr,
+               "campaign '%s': %zu/%zu jobs done (%zu ok, %zu failed; %zu "
+               "run now, %zu resumed, %zu not run)\n",
+               manifest.name.c_str(), ok + failed, jobs.size(), ok, failed,
+               r.completed + r.failed, r.skipped, r.remaining);
+  if (server && flags.get_bool("serve-after", false)) {
+    std::fprintf(stderr, "campaign done — still serving (Ctrl-C to stop)\n");
     serve_until_signalled();
   }
   if (server) server->stop();
-  if (stopped_by != 0) return 128 + stopped_by;
-  return all_ok && failed == 0 ? 0 : 1;
+  return failed == 0 ? 0 : 1;
 }
 
 int cmd_serve(const campaign::Manifest& manifest,
               const scenario::ScenarioConfig& base, const std::string& out_dir,
               const Flags& flags, const Counts& counts) {
   const auto jobs = campaign::expand(manifest, base);
-  const std::size_t shards = counts.shards;
-  const auto paths = discover_results(out_dir, shards);
-  if (paths.empty()) {
-    std::fprintf(stderr, "no result files under %s\n", out_dir.c_str());
+  const std::string results = results_path(out_dir);
+  if (!fs::exists(results)) {
+    std::fprintf(stderr, "no result file %s\n", results.c_str());
     return 2;
   }
 
-  serving::ResultService svc(paths);
+  serving::ResultService svc(results);
   auto ctx = std::make_shared<ServeContext>();
   ctx->svc = &svc;
   ctx->out_dir = out_dir;
   ctx->campaign_name = manifest.name;
   ctx->job_count = jobs.size();
-  ctx->shards = shards > 0 ? shards : paths.size();
 
   serving::HttpServer server(counts.port, make_handler(ctx),
                              counts.http_threads);
@@ -675,14 +565,13 @@ int cmd_serve(const campaign::Manifest& manifest,
   return 0;
 }
 
-int cmd_export(const std::string& out_dir, const Flags& flags,
-               const Counts& counts) {
-  const auto paths = discover_results(out_dir, counts.shards);
-  if (paths.empty()) {
-    std::fprintf(stderr, "no result files under %s\n", out_dir.c_str());
+int cmd_export(const std::string& out_dir, const Flags& flags) {
+  const std::string results = results_path(out_dir);
+  if (!fs::exists(results)) {
+    std::fprintf(stderr, "no result file %s\n", results.c_str());
     return 2;
   }
-  const std::string csv = campaign::export_aggregate_csv(paths);
+  const std::string csv = campaign::export_aggregate_csv(results);
 
   const std::string csv_path = flags.get_string("csv", "");
   if (csv_path.empty()) {
@@ -694,7 +583,7 @@ int cmd_export(const std::string& out_dir, const Flags& flags,
       return 1;
     }
     out << csv;
-    std::fprintf(stderr, "exported %zu file(s) -> %s\n", paths.size(),
+    std::fprintf(stderr, "exported %s -> %s\n", results.c_str(),
                  csv_path.c_str());
   }
   return 0;
@@ -705,35 +594,24 @@ int cmd_status(const campaign::Manifest& manifest,
                const std::string& out_dir) {
   const auto jobs = campaign::expand(manifest, base);
   const std::string digest = campaign::campaign_digest(manifest.name, jobs);
-  const auto journals = discover_journals(out_dir);
+  std::printf("campaign '%s': %zu jobs\n", manifest.name.c_str(),
+              jobs.size());
   std::size_t ok = 0, failed = 0;
-  std::printf("campaign '%s': %zu jobs, %zu shard journal(s)\n",
-              manifest.name.c_str(), jobs.size(), journals.size());
-  for (const auto& [k, path] : journals) {
-    campaign::JournalView v;
-    try {
-      v = campaign::Journal::load(path);
-    } catch (const campaign::JournalError& e) {
-      std::printf("  shard %zu: %s\n", k, e.what());
-      continue;
-    }
+  const std::string path = journal_path(out_dir);
+  if (fs::exists(path)) {
+    const campaign::JournalView v = campaign::Journal::load(path);
     // Journal indices name the jobs of the manifest and --set flags that
     // wrote it; with others they would name the wrong jobs (exit 1).
     if (v.campaign_digest != digest || v.job_count != jobs.size()) {
       throw campaign::JournalError(path + " belongs to a different campaign "
                                           "(other manifest or --set flags)");
     }
-    std::size_t sok = 0, sfailed = 0;
     for (const auto& [idx, e] : v.entries) {
-      (e.ok ? sok : sfailed) += 1;
+      (e.ok ? ok : failed) += 1;
       if (!e.ok) {
         std::printf("  FAILED %s: %s\n", jobs[idx].id.c_str(), e.error.c_str());
       }
     }
-    ok += sok;
-    failed += sfailed;
-    std::printf("  shard %zu: %zu done (%zu ok, %zu failed)\n", k,
-                sok + sfailed, sok, sfailed);
   }
   std::printf("total: %zu/%zu done (%zu ok, %zu failed)\n", ok + failed,
               jobs.size(), ok, failed);
@@ -755,24 +633,37 @@ int main(int argc, char** argv) {
 
   const std::string cmd = flags.positional()[0];
   const std::string manifest_path = flags.positional()[1];
+  const auto accepted = kSubcommandFlags.find(cmd);
+  if (accepted == kSubcommandFlags.end()) {
+    std::fprintf(stderr, "unknown subcommand '%s' (see --help)\n", cmd.c_str());
+    return 2;
+  }
   const std::string out_dir = flags.get_string("out", "");
+  const std::vector<std::string> sets = flags.get_all("set");
+  for (const std::string& name : accepted->second) flags.has(name);  // read
+  for (const std::string& name : flags.unknown()) {
+    std::fprintf(stderr, "unknown flag for %s: --%s (see --help)\n",
+                 cmd.c_str(), name.c_str());
+    return 2;
+  }
   if (out_dir.empty()) {
     std::fprintf(stderr, "--out=DIR is required\n");
     return 2;
   }
   Counts counts;
   if (!parse_counts(flags, counts)) return 2;
+  if (is_shard_layout(out_dir)) return 2;
 
-  // run/resume/serve stop gracefully: they own workers or an HTTP server.
-  // Every other subcommand, workers included, keeps the default action and
-  // dies on the spot; the journal makes that safe.
+  // run/resume/serve catch the stop signals: run/resume exit at once with
+  // 128+signal, serve stops its HTTP server first. export and status keep
+  // the default action and die on the spot; they write nothing.
   if (cmd == "run" || cmd == "resume" || cmd == "serve") {
     std::signal(SIGINT, on_signal);
     std::signal(SIGTERM, on_signal);
   }
 
   scenario::ScenarioConfig base;
-  for (const std::string& kv : flags.get_all("set")) {
+  for (const std::string& kv : sets) {
     const auto eq = kv.find('=');
     if (eq == std::string::npos || eq == 0) {
       std::fprintf(stderr, "--set expects KEY=VALUE, got '%s'\n", kv.c_str());
@@ -796,19 +687,13 @@ int main(int argc, char** argv) {
     const campaign::Manifest manifest =
         campaign::parse_manifest_file(manifest_path);
     if (cmd == "run" || cmd == "resume") {
-      return cmd_run(manifest, base, manifest_path, out_dir, flags, counts,
-                     cmd == "resume");
-    }
-    if (cmd == "worker") {
-      return cmd_worker(manifest, base, out_dir, flags, counts);
+      return cmd_run(manifest, base, out_dir, flags, counts, cmd == "resume");
     }
     if (cmd == "serve") {
       return cmd_serve(manifest, base, out_dir, flags, counts);
     }
-    if (cmd == "export") return cmd_export(out_dir, flags, counts);
-    if (cmd == "status") return cmd_status(manifest, base, out_dir);
-    std::fprintf(stderr, "unknown subcommand '%s' (see --help)\n", cmd.c_str());
-    return 2;
+    if (cmd == "export") return cmd_export(out_dir, flags);
+    return cmd_status(manifest, base, out_dir);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "rcast_campaignd: %s\n", e.what());
     return 1;
