@@ -16,7 +16,6 @@
 #include "scenario/scenario.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
-#include "util/pool.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -167,14 +166,12 @@ void BM_EventCancelStorm(benchmark::State& state) {
 }
 BENCHMARK(BM_EventCancelStorm)->Arg(16384);
 
-// The DSR forward path: clone an incoming DATA packet out of the pool,
-// advance its position on the source route, release the clone back (what
-// every intermediate hop does). After the first iteration this is
-// allocation-free: the route lives inline (SmallVec) and the shared_ptr
-// block recycles through the per-simulator pool.
+// The DSR forward path: clone an incoming DATA packet, advance its position
+// on the source route, release the clone (what every intermediate hop
+// does). Each clone is one std::make_shared block; the route lives inline
+// (SmallVec), so the clone allocates nothing beyond that block.
 void BM_PacketForward(benchmark::State& state) {
-  sim::Simulator sim;
-  auto pkt = util::make_pooled<routing::DsrPacket>(sim.pools());
+  auto pkt = std::make_shared<routing::DsrPacket>();
   pkt->type = routing::PacketType::kData;
   pkt->src = 0;
   pkt->dst = 5;
@@ -182,16 +179,13 @@ void BM_PacketForward(benchmark::State& state) {
   pkt->payload_bits = 64 * 8;
   std::int64_t bits = 0;
   for (auto _ : state) {
-    auto fwd = util::make_pooled<routing::DsrPacket>(sim.pools(), *pkt);
+    auto fwd = std::make_shared<routing::DsrPacket>(*pkt);
     fwd->hop_index = pkt->hop_index + 1;
     bits += fwd->size_bits();
     benchmark::DoNotOptimize(fwd);
   }
   benchmark::DoNotOptimize(bits);
   state.SetItemsProcessed(state.iterations());
-  const util::PoolStats ps = sim.pools().total_stats();
-  state.counters["pool_miss"] = benchmark::Counter(
-      static_cast<double>(ps.misses));
 }
 BENCHMARK(BM_PacketForward);
 
@@ -220,8 +214,8 @@ void BM_TransmitStorm(benchmark::State& state) {
       const auto tx = static_cast<phy::NodeId>(rng.uniform_u64(kNodes));
       const sim::Time at =
           static_cast<sim::Time>(i) * 50 * sim::kMicrosecond;
-      sim.at(at, [&channel, &sim, tx] {
-        auto frame = util::make_pooled<phy::Frame>(sim.pools());
+      sim.at(at, [&channel, tx] {
+        auto frame = std::make_shared<phy::Frame>();
         frame->tx = tx;
         frame->rx = phy::kBroadcastId;
         frame->bits = 512;
@@ -261,7 +255,7 @@ void BM_PhyBusyChurn(benchmark::State& state) {
     mobility.add_node(1, std::make_unique<mobility::StaticModel>(
                              geo::Vec2{400.0, 10.0}));
     phy::Phy rx(sim, channel, 0, nullptr);
-    auto frame = util::make_pooled<phy::Frame>(sim.pools());
+    auto frame = std::make_shared<phy::Frame>();
     frame->tx = 1;
     frame->rx = phy::kBroadcastId;
     frame->bits = 512;
@@ -343,13 +337,11 @@ void BM_FullScenarioSecond(benchmark::State& state) {
     benchmark::DoNotOptimize(r);
   }
   // Allocation discipline of the full stack, from the last run: heap
-  // fallbacks must be 0, pool misses bounded by warmup, and (when the
-  // RCAST_ALLOC_COUNT hook is compiled in) bytes/event near zero.
+  // fallbacks must be 0, and (when the RCAST_ALLOC_COUNT hook is compiled
+  // in) bytes/event stays small.
   state.counters["sim_events_per_sec"] = benchmark::Counter(last.events_per_sec);
   state.counters["heap_fallbacks"] =
       benchmark::Counter(static_cast<double>(last.handler_heap_fallbacks));
-  state.counters["pool_misses"] =
-      benchmark::Counter(static_cast<double>(last.pool_misses));
   state.counters["bytes_per_event"] = benchmark::Counter(
       last.events_executed > 0
           ? static_cast<double>(last.bytes_allocated) /

@@ -16,7 +16,6 @@
 #include "phy/phy.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/simulator.hpp"
-#include "util/pool.hpp"
 #include "util/rng.hpp"
 #include "util/small_vec.hpp"
 
@@ -88,7 +87,7 @@ void BM_CarrierSense(benchmark::State& state) {
   // No Phy is attached, so transmit() records the in-flight entry without
   // scheduling arrivals; a long duration keeps every entry active.
   for (std::size_t i = 0; i < n_flight; ++i) {
-    auto frame = util::make_pooled<phy::Frame>(sim.pools());
+    auto frame = std::make_shared<phy::Frame>();
     frame->tx = static_cast<phy::NodeId>(i);
     frame->rx = phy::kBroadcastId;
     frame->bits = 512;
@@ -137,8 +136,8 @@ void BM_TransmitStorm(benchmark::State& state) {
     for (std::size_t i = 0; i < kFrames; ++i) {
       const auto tx = static_cast<phy::NodeId>(rng.uniform_u64(n));
       const sim::Time at = static_cast<sim::Time>(i) * 50 * sim::kMicrosecond;
-      sim.at(at, [&channel, &sim, tx] {
-        auto frame = util::make_pooled<phy::Frame>(sim.pools());
+      sim.at(at, [&channel, tx] {
+        auto frame = std::make_shared<phy::Frame>();
         frame->tx = tx;
         frame->rx = phy::kBroadcastId;
         frame->bits = 512;

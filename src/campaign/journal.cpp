@@ -197,34 +197,17 @@ Journal Journal::open(const std::string& path,
 }
 
 Journal::Journal(Journal&& other) noexcept
-    : f_(other.f_),
-      entries_(std::move(other.entries_)),
-      sync_every_(other.sync_every_),
-      unsynced_(other.unsynced_) {
+    : f_(other.f_), entries_(std::move(other.entries_)) {
   other.f_ = nullptr;
-  other.unsynced_ = 0;
 }
 
 Journal::~Journal() { close(); }
 
 void Journal::close() {
   if (f_) {
-    if (unsynced_ > 0) fsync_file(f_);
-    unsynced_ = 0;
     std::fclose(f_);
     f_ = nullptr;
   }
-}
-
-void Journal::set_sync_every(std::uint64_t n) {
-  if (n == 0) throw JournalError("journal sync_every must be >= 1");
-  sync_every_ = n;
-}
-
-void Journal::sync() {
-  if (!f_) return;
-  fsync_file(f_);
-  unsynced_ = 0;
 }
 
 void Journal::append(const JournalEntry& e) {
@@ -238,14 +221,10 @@ void Journal::append(const JournalEntry& e) {
   if (std::fwrite(line.data(), 1, line.size(), f_) != line.size()) {
     throw JournalError("journal write failed");
   }
-  // Always push the line to the OS so concurrent readers (the serving
-  // daemon) observe commits promptly even between batched fsyncs; a crash
-  // can then only tear the trailing line, which open() repairs.
+  // Push the line to the OS, then to disk; a crash can only tear the
+  // trailing line, which open() repairs.
   std::fflush(f_);
-  if (++unsynced_ >= sync_every_) {
-    fsync_file(f_);
-    unsynced_ = 0;
-  }
+  fsync_file(f_);
 }
 
 }  // namespace rcast::campaign

@@ -69,21 +69,9 @@ class Journal {
     return entries_;
   }
 
-  /// Appends one commit line. The line is flushed to the OS immediately
-  /// (visible to concurrent readers) and fsynced every `sync_every` appends
-  /// (see set_sync_every); with the default of 1 every append is durable
-  /// before this returns.
+  /// Appends one commit line, flushed to the OS (visible to concurrent
+  /// readers) and fsynced: every append is durable before this returns.
   void append(const JournalEntry& e);
-
-  /// Fsync the journal every N appends (N >= 1; default 1). Batching trades
-  /// durability for throughput: a crash can lose up to N-1 trailing commit
-  /// lines, which on resume just re-runs those jobs — their orphaned result
-  /// records are superseded by last-wins dedupe, so exports stay
-  /// byte-identical. Flushing still happens on every append.
-  void set_sync_every(std::uint64_t n);
-
-  /// Fsyncs any batched appends now.
-  void sync();
 
   void close();
 
@@ -92,8 +80,6 @@ class Journal {
 
   std::FILE* f_ = nullptr;
   std::map<std::size_t, JournalEntry> entries_;
-  std::uint64_t sync_every_ = 1;
-  std::uint64_t unsynced_ = 0;
 };
 
 }  // namespace rcast::campaign

@@ -157,8 +157,6 @@ std::string record_to_json(const Job& job, const scenario::RunResult& r,
   w.key("queue_rung_spawns").value(r.perf.queue_rung_spawns);
   w.key("dispatch_batches").value(r.perf.dispatch_batches);
   w.key("handler_moves").value(r.perf.handler_moves);
-  w.key("pool_hits").value(r.perf.pool_hits);
-  w.key("pool_misses").value(r.perf.pool_misses);
   w.key("bytes_allocated").value(r.perf.bytes_allocated);
   w.key("spatial_queries").value(r.perf.spatial_queries);
   w.key("spatial_candidates_scanned").value(r.perf.spatial_candidates_scanned);
@@ -321,8 +319,6 @@ JobRecord record_from_json(const json::Value& v) {
   r.perf.events_executed = perf.at("events_executed").as_u64();
   r.perf.events_scheduled = perf.at("events_scheduled").as_u64();
   r.perf.handler_heap_fallbacks = perf.at("handler_heap_fallbacks").as_u64();
-  r.perf.pool_hits = perf.at("pool_hits").as_u64();
-  r.perf.pool_misses = perf.at("pool_misses").as_u64();
   r.perf.bytes_allocated = perf.at("bytes_allocated").as_u64();
   // Counters added after the v2 schema shipped postdate early stores:
   // tolerate their absence (they read back as zero).

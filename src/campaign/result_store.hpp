@@ -131,8 +131,8 @@ std::vector<JobRecord> load_results(const std::string& path);
 /// truncated to integers, vectors and the drop breakdown element-wise, the
 /// delay percentiles as the mean of each run's percentile), except:
 ///   - `scheme`: a cell has one scheme; every result must carry it.
-///   - `perf`: left value-initialized (wall-clock and pool counters describe
-///     one process's run, not a cell).
+///   - `perf`: left value-initialized (wall-clock and queue counters
+///     describe one process's run, not a cell).
 class RunAverager {
  public:
   /// Results of one cell must agree on the scheme and the per-node vector

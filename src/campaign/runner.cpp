@@ -35,11 +35,6 @@ CampaignResult run_campaign(const Manifest& manifest, const RunnerOptions& opt,
     journal.emplace(Journal::open(opt.journal_path,
                                   campaign_digest(manifest.name, cr.jobs),
                                   cr.jobs.size()));
-    // Durability knob rides the registered param surface; manifest base
-    // overrides land in every expanded job, so read it off the first job.
-    journal->set_sync_every(cr.jobs.empty()
-                                ? base.journal_sync_every
-                                : cr.jobs.front().cfg.journal_sync_every);
   }
   if (!opt.results_path.empty()) {
     store.emplace(ResultStore::open_append(opt.results_path));

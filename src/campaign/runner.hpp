@@ -1,6 +1,6 @@
 // Campaign runner: executes an expanded job list on a work-stealing worker
 // pool (one independent Simulator per job, so each worker thread owns its
-// run's pools and allocation counters), with per-job wall-clock timeouts,
+// run's queue and allocation counters), with per-job wall-clock timeouts,
 // failure capture (a throwing job is recorded as failed, never fatal to the
 // campaign), crash-safe journaling, JSONL result persistence, and live
 // progress/ETA reporting fed by each run's PerfCounters. It is the only

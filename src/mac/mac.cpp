@@ -5,7 +5,6 @@
 #include "stats/telemetry.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
-#include "util/pool.hpp"
 
 namespace rcast::mac {
 
@@ -375,7 +374,7 @@ void Mac::transmit_op_frame() {
       telemetry_->on_data_tx_attempt(id(), op_item_.dst, sim_.now());
     }
   }
-  auto pf = util::make_pooled<phy::Frame>(sim_.pools());
+  auto pf = std::make_shared<phy::Frame>();
   pf->tx = id();
   pf->rx = op_frame_->dst;
   pf->bits = frame_bits(op_frame_->kind, op_frame_->datagram);
@@ -683,7 +682,7 @@ void Mac::fire_response() {
   }
   MacFramePtr resp = responses_.front();
   responses_.pop_front();
-  auto pf = util::make_pooled<phy::Frame>(sim_.pools());
+  auto pf = std::make_shared<phy::Frame>();
   pf->tx = id();
   pf->rx = resp->dst;
   pf->bits = frame_bits(resp->kind, nullptr);
@@ -706,7 +705,7 @@ void Mac::phy_carrier_idle() {
 
 MacFramePtr Mac::make_frame(FrameKind kind, NodeId dst, OverhearingMode oh,
                             bool bcast_announce, NetDatagramPtr datagram) {
-  auto f = util::make_pooled<MacFrame>(sim_.pools());
+  auto f = std::make_shared<MacFrame>();
   f->kind = kind;
   f->src = id();
   f->dst = dst;

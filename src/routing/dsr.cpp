@@ -5,7 +5,6 @@
 
 #include "util/assert.hpp"
 #include "util/log.hpp"
-#include "util/pool.hpp"
 
 namespace rcast::routing {
 
@@ -47,7 +46,7 @@ void Dsr::send_data(NodeId dst, std::int64_t payload_bits,
                     std::uint32_t flow_id, std::uint32_t app_seq) {
   RCAST_REQUIRE(dst != id());
   RCAST_REQUIRE(payload_bits >= 0);
-  auto pkt = util::make_pooled<DsrPacket>(sim_.pools());
+  auto pkt = std::make_shared<DsrPacket>();
   pkt->type = PacketType::kData;
   pkt->src = id();
   pkt->dst = dst;
@@ -63,7 +62,7 @@ void Dsr::send_data(NodeId dst, std::int64_t payload_bits,
 void Dsr::try_send(DsrPacketPtr pkt) {
   auto route = cache_.find(pkt->dst, sim_.now());
   if (route) {
-    auto routed = util::make_pooled<DsrPacket>(sim_.pools(), *pkt);
+    auto routed = std::make_shared<DsrPacket>(*pkt);
     routed->route = std::move(*route);
     routed->hop_index = 0;
     if (routed->first_tx_time == 0) routed->first_tx_time = sim_.now();
@@ -104,7 +103,7 @@ void Dsr::send_rreq(NodeId dst, int ttl) {
   RCAST_DCHECK(it != discoveries_.end());
   Discovery& d = it->second;
 
-  auto pkt = util::make_pooled<DsrPacket>(sim_.pools());
+  auto pkt = std::make_shared<DsrPacket>();
   pkt->type = PacketType::kRreq;
   pkt->src = id();
   pkt->dst = dst;
@@ -261,7 +260,7 @@ void Dsr::handle_rreq(const DsrPacket& pkt) {
   }
 
   if (pkt.ttl <= 1) return;
-  auto fwd = util::make_pooled<DsrPacket>(sim_.pools(), pkt);
+  auto fwd = std::make_shared<DsrPacket>(pkt);
   fwd->recorded.push_back(id());
   fwd->ttl = pkt.ttl - 1;
   ++stats_.rreq_forwarded;
@@ -274,7 +273,7 @@ void Dsr::handle_rreq(const DsrPacket& pkt) {
 void Dsr::send_rrep(Route route, std::size_t my_index) {
   RCAST_DCHECK(my_index > 0 && my_index < route.size());
   RCAST_DCHECK(route[my_index] == id());
-  auto rrep = util::make_pooled<DsrPacket>(sim_.pools());
+  auto rrep = std::make_shared<DsrPacket>();
   rrep->type = PacketType::kRrep;
   rrep->src = id();
   rrep->dst = route.front();
@@ -316,7 +315,7 @@ void Dsr::handle_rrep(const DsrPacket& pkt) {
     return;
   }
 
-  auto fwd = util::make_pooled<DsrPacket>(sim_.pools(), pkt);
+  auto fwd = std::make_shared<DsrPacket>(pkt);
   fwd->hop_index = my_index;
   ++stats_.rrep_forwarded;
   if (observer_ != nullptr) {
@@ -374,7 +373,7 @@ void Dsr::handle_data(const DsrPacket& pkt, const DsrPacketPtr& shared) {
     policy_->on_routing_event(mac::RoutingEvent::kDataForwarded, sim_.now());
   }
   if (observer_ != nullptr) observer_->on_data_forwarded(id(), sim_.now());
-  auto fwd = util::make_pooled<DsrPacket>(sim_.pools(), pkt);
+  auto fwd = std::make_shared<DsrPacket>(pkt);
   fwd->hop_index = my_index;
   ++stats_.data_forwarded;
   if (!mac_.send(pkt.route[my_index + 1], std::move(fwd), cfg_.oh_map.data)) {
@@ -387,7 +386,7 @@ void Dsr::handle_rerr(const DsrPacket& pkt) {
   const std::size_t my_index = pkt.hop_index + 1;
   if (my_index >= pkt.route.size() || pkt.route[my_index] != id()) return;
   if (my_index + 1 >= pkt.route.size()) return;  // reached the source
-  auto fwd = util::make_pooled<DsrPacket>(sim_.pools(), pkt);
+  auto fwd = std::make_shared<DsrPacket>(pkt);
   fwd->hop_index = my_index;
   ++stats_.rerr_forwarded;
   if (observer_ != nullptr) {
@@ -475,7 +474,7 @@ void Dsr::mac_tx_failed(const mac::NetDatagramPtr& pkt, NodeId next_hop) {
   // Try to salvage with an alternative cached route.
   if (cfg_.salvage && p.salvage_count < cfg_.max_salvage) {
     if (auto route = cache_.find(p.dst, sim_.now())) {
-      auto salvaged = util::make_pooled<DsrPacket>(sim_.pools(), p);
+      auto salvaged = std::make_shared<DsrPacket>(p);
       salvaged->route = std::move(*route);
       salvaged->hop_index = 0;
       salvaged->salvage_count = p.salvage_count + 1;
@@ -488,7 +487,7 @@ void Dsr::mac_tx_failed(const mac::NetDatagramPtr& pkt, NodeId next_hop) {
   if (p.src == id() && p.salvage_count == 0) {
     // Source without an alternative: rediscover and retransmit from the
     // send buffer rather than dropping outright.
-    auto requeued = util::make_pooled<DsrPacket>(sim_.pools(), p);
+    auto requeued = std::make_shared<DsrPacket>(p);
     requeued->route.clear();
     requeued->hop_index = 0;
     requeued->salvage_count = p.salvage_count + 1;
@@ -508,7 +507,7 @@ void Dsr::originate_rerr(const DsrPacket& data_pkt, NodeId broken_to) {
   Route back;
   for (std::size_t i = my_index + 1; i-- > 0;) back.push_back(data_pkt.route[i]);
   if (back.size() < 2) return;
-  auto rerr = util::make_pooled<DsrPacket>(sim_.pools());
+  auto rerr = std::make_shared<DsrPacket>();
   rerr->type = PacketType::kRerr;
   rerr->src = id();
   rerr->dst = data_pkt.src;

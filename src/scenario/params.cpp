@@ -17,7 +17,7 @@ namespace {
 // ScenarioConfig and every subconfig it embeds. Adding a field to any of
 // these structs changes its size and fails the completeness check until a
 // descriptor is registered and the fence updated (DESIGN.md §11).
-constexpr std::size_t kScenarioConfigSize = 616;
+constexpr std::size_t kScenarioConfigSize = 608;
 constexpr std::size_t kMacConfigSize = 112;
 constexpr std::size_t kDsrConfigSize = 80;
 constexpr std::size_t kAodvConfigSize = 80;
@@ -222,20 +222,6 @@ std::vector<Param> build_registry() {
       PU("sim.horizon_ns", c.sim_horizon_ns, std::uint64_t, 0, 1e12,
          "Conservative window width for sharded runs (ns); 0 = derive from "
          "cs_range_m (propagation across the carrier-sense disc)"),
-      {"campaign.journal_sync_every",
-       ParamType::kUInt,
-       "Fsync the campaign journal every N committed jobs (1 = every commit). "
-       "Cannot affect results",
-       1,
-       1e9,
-       false,  // durability knob, like max_wall_seconds: not in config_digest
-       {},
-       [](const ScenarioConfig& c) {
-         return ParamValue::of(c.journal_sync_every);
-       },
-       [](ScenarioConfig& c, const ParamValue& v) {
-         c.journal_sync_every = v.u;
-       }},
 
       // --- energy model (WaveLAN-II defaults) ------------------------------
       PD("power.idle_w", c.power.idle_w, 0, 1000, "Idle-listening draw (W)"),

@@ -163,11 +163,9 @@ Network::Network(const ScenarioConfig& cfg)
 
   // Sharded runs: home-pin every node to one of K vertical strips of the
   // world from its initial position (no dynamic handoff — pending events
-  // capture module pointers, so ownership must be stable for the run), give
-  // each shard its own telemetry sinks, and disable the cross-thread-unsafe
-  // pooled allocator.
+  // capture module pointers, so ownership must be stable for the run) and
+  // give each shard its own telemetry sinks.
   if (sim_.sharded()) {
-    sim_.pools().set_thread_shared(true);
     const std::size_t shards = sim_.shard_count();
     const double strip =
         cfg.world.width / static_cast<double>(shards);

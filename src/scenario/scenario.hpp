@@ -90,14 +90,6 @@ struct ScenarioConfig {
   /// tightest physically-motivated lookahead). Larger values mean fewer
   /// barriers but coarser cross-shard timing.
   std::uint64_t sim_horizon_ns = 0;
-
-  /// Campaign journal durability: fsync the journal every N committed jobs
-  /// (1 = every commit, the strictest setting). Larger values batch fsyncs;
-  /// a crash can then lose up to N-1 journal lines, which only re-runs those
-  /// jobs on resume (result records are still fsynced before each journal
-  /// line, and duplicates are absorbed by last-wins dedupe). Cannot affect
-  /// simulated results, so it is excluded from config_digest.
-  std::uint64_t journal_sync_every = 1;
 };
 
 /// Flow count when none is given: one CBR flow per five nodes, at least
@@ -159,7 +151,7 @@ struct RunResult {
 
   std::uint64_t events_executed = 0;
 
-  /// Hot-path counters for the run (event throughput, pool behavior,
+  /// Hot-path counters for the run (event throughput, queue behavior,
   /// wall-clock). See DESIGN.md "Performance" and bench/BENCH_hotpath.json.
   sim::PerfCounters perf;
 };
@@ -175,6 +167,7 @@ class Node {
 
   phy::NodeId id() const { return phy_->id(); }
   energy::EnergyMeter& meter() { return *meter_; }
+  phy::Phy& phy() { return *phy_; }
   mac::Mac& mac() { return *mac_; }
   mac::PowerPolicy& policy() { return *policy_; }
 

@@ -1,10 +1,10 @@
 // Lightweight throughput/allocation counters for a simulation run.
 //
-// These exist to *prove* the allocation discipline of the hot paths: in
-// steady state pool_misses stops growing, handler_heap_fallbacks stays 0,
-// and (with the opt-in allocation hook enabled) bytes_allocated flatlines
-// while events_executed keeps climbing. bench_micro emits them as JSON
-// (BENCH_hotpath.json) so the trajectory is tracked across PRs.
+// These exist to *prove* the allocation discipline of the hot paths: the
+// event path never boxes a handler (handler_heap_fallbacks stays 0), and
+// with the opt-in allocation hook enabled bytes_allocated counts every byte
+// the run allocates, frames and packets included. bench_micro emits them as
+// JSON (BENCH_hotpath.json) so the trajectory is tracked across PRs.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +29,9 @@ struct PerfCounters {
   /// outbox drains, pre-built handlers). The emplace path constructs the
   /// callable in its slot directly, so unsharded hot-path runs keep this 0.
   std::uint64_t handler_moves = 0;
-  /// Pool allocations served from the free list vs. carved fresh. Misses
-  /// stop growing once the working set is warm.
+  /// Always 0: frames and packets are plain std::make_shared blocks since
+  /// the object pools were deleted. Kept for perfbench, which still reads
+  /// them; the result store no longer writes them.
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;
   /// Bytes passed through global operator new while the run's thread had

@@ -70,9 +70,6 @@ PerfCounters Simulator::perf_counters() const {
     p.dispatch_batches = queue_.dispatch_batches();
     p.handler_moves = queue_.handler_moves();
   }
-  const util::PoolStats pools = pools_.total_stats();
-  p.pool_hits = pools.hits;
-  p.pool_misses = pools.misses;
   return p;
 }
 

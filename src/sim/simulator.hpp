@@ -15,7 +15,6 @@
 #include "sim/event_queue.hpp"
 #include "sim/perf_counters.hpp"
 #include "sim/time.hpp"
-#include "util/pool.hpp"
 
 namespace rcast::sim {
 
@@ -153,11 +152,6 @@ class Simulator {
 
   static constexpr std::uint64_t kDeadlineCheckInterval = 8192;
 
-  /// Per-run object pools (frames, packets). Everything drawn from them must
-  /// be released before the Simulator dies; protocol modules hold Simulator&
-  /// and are torn down first, so this falls out of the ownership order.
-  util::PoolArena& pools() { return pools_; }
-
   /// Snapshot of the run's simulator-level counters (wall-clock fields are
   /// filled by whoever times the run, e.g. scenario::Network::run).
   PerfCounters perf_counters() const;
@@ -170,9 +164,6 @@ class Simulator {
   EventId shard_push(std::size_t shard, Time t, Handler h);
   bool shard_cancel(std::size_t shard, EventId id);
 
-  // pools_ is declared before queue_ so pending handlers (which may hold the
-  // last reference to pooled frames) are destroyed before the pools are.
-  util::PoolArena pools_;
   EventQueue queue_;
   std::unique_ptr<ShardedExecutor> exec_;  // null = single-queue mode
   Time now_ = 0;

@@ -113,8 +113,7 @@ class PowerEvents {
 using RoutingEvents = routing::Observer;
 
 /// Ordered subscriber list with re-entrancy-safe removal. Not thread-safe
-/// by design: one bus belongs to one Simulator (same ownership rule as the
-/// object pools).
+/// by design: one bus belongs to one Simulator.
 template <typename S>
 class SubscriberList {
  public:
@@ -290,8 +289,8 @@ class TelemetryBus final : public PhyEvents,
 /// Network-wide per-layer aggregate counters, reconstituted from bus events.
 /// This subscriber is what `Network::summarize()` reads instead of scraping
 /// `MacStats`/`DsrStats`/`AodvStats` out of every node; the per-node structs
-/// are temporarily retained for unit tests and the bus-vs-struct regression
-/// check (test_telemetry.cpp).
+/// stay for the layer unit tests (test_mac, test_dsr, test_aodv), which read
+/// one agent's counts without a bus.
 class LayerCounters final : public MacEvents, public routing::Observer {
  public:
   // --- MacEvents ------------------------------------------------------------

@@ -4,7 +4,7 @@
 // more than a handful of hops — yet every forward/copy of a packet cloned a
 // heap-allocated std::vector. SmallVec keeps up to N elements inline (no
 // allocation at all) and spills to the heap only beyond that, which makes
-// route copies part of the packet-pool block instead of extra allocations.
+// route copies part of the packet's own block instead of extra allocations.
 #pragma once
 
 #include <algorithm>

@@ -414,6 +414,13 @@ TEST(ResultStore, RecordWithRetiredInplaceFiresStillAggregates) {
                                      "\"inplace_fires\":136702,");
 }
 
+// The object-pool hit and miss counts sat right after handler_moves until
+// frames and packets moved to std::make_shared.
+TEST(ResultStore, RecordWithRetiredPoolCountersStillAggregates) {
+  expect_retired_perf_member_ignored(
+      "handler_moves", "\"pool_hits\":48211,\"pool_misses\":379,");
+}
+
 // The dispatch-batch size histogram (8 log2 buckets) sat right after
 // dispatch_batches until nothing read it.
 TEST(ResultStore, RecordWithRetiredBatchHistogramStillAggregates) {
@@ -607,7 +614,6 @@ scenario::RunResult result_at(double k) {
   r.events_executed = u(1000);
   r.perf.events_executed = u(1000);
   r.perf.events_scheduled = u(1200);
-  r.perf.pool_hits = u(53);
   r.perf.bytes_allocated = u(4096);
   r.perf.wall_seconds = 0.5 * k;
   r.perf.events_per_sec = 2000 * k;

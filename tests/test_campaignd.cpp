@@ -132,9 +132,11 @@ std::string reference_csv(const TempDir& dir, const std::string& manifest) {
 
 /// Starts the daemon with `args` as the leader of a new process group, so a
 /// group signal reaches it but not this test, and the group shows whether
-/// the daemon left any process behind. Output is discarded. The returned pid
-/// is also the group id.
-pid_t spawn_daemon(const std::vector<std::string>& args) {
+/// the daemon left any process behind. Output is discarded, except that
+/// stderr goes to `stderr_path` when one is given. The returned pid is also
+/// the group id.
+pid_t spawn_daemon(const std::vector<std::string>& args,
+                   const std::string& stderr_path = "") {
   std::vector<std::string> owned = {kDaemon};
   owned.insert(owned.end(), args.begin(), args.end());
   std::vector<char*> argv;
@@ -145,7 +147,11 @@ pid_t spawn_daemon(const std::vector<std::string>& args) {
     ::setpgid(0, 0);
     const int devnull = ::open("/dev/null", O_WRONLY);
     ::dup2(devnull, STDOUT_FILENO);
-    ::dup2(devnull, STDERR_FILENO);
+    ::dup2(stderr_path.empty()
+               ? devnull
+               : ::open(stderr_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
+                        0644),
+           STDERR_FILENO);
     ::execv(argv[0], argv.data());
     ::_exit(127);
   }
@@ -201,12 +207,13 @@ std::map<std::string, std::string> snapshot_tree(const std::string& dir) {
 /// (pid, port); port 0 if the daemon never wrote its port file (the daemon
 /// is then killed).
 std::pair<pid_t, int> spawn_listening(const TempDir& dir,
-                                      std::vector<std::string> args) {
+                                      std::vector<std::string> args,
+                                      const std::string& stderr_path = "") {
   const std::string port_file = dir.file("port.txt");
   fs::remove(port_file);
   args.push_back("--port=0");
   args.push_back("--port-file=" + port_file);
-  const pid_t pid = spawn_daemon(args);
+  const pid_t pid = spawn_daemon(args, stderr_path);
   for (int i = 0; i < 500; ++i) {  // <= 10 s
     std::ifstream in(port_file);
     if (int port = 0; in >> port && port > 0) return {pid, port};
@@ -444,9 +451,12 @@ TEST(Campaignd, RunServesWhileCampaignRuns) {
   TempDir dir;
   const std::string manifest = write_slow_manifest(dir, /*seeds=*/4);
   const std::string out_dir = dir.file("served");
+  const std::string err = dir.file("run.err");
   const auto [pid, port] = spawn_listening(
-      dir, {"run", manifest, "--out=" + out_dir, "--threads=2",
-            "--serve-after", "--quiet"});
+      dir,
+      {"run", manifest, "--out=" + out_dir, "--threads=2", "--serve-after",
+       "--quiet"},
+      err);
   ASSERT_GT(port, 0) << "run never bound its port";
   // However the test ends, no daemon is left serving.
   struct KillGroupOnExit {
@@ -474,22 +484,23 @@ TEST(Campaignd, RunServesWhileCampaignRuns) {
   EXPECT_EQ(metrics_status, 200);
   EXPECT_NE(metrics.find("\"jobs_completed\":"), std::string::npos) << metrics;
 
-  for (int i = 0; i < 600 && done_jobs() < 4; ++i) {  // <= 60 s
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // Keep querying until `run` says it is done. Each query refreshes the
+  // index at most every 200 ms, so the last of these refreshes can miss the
+  // last commits; the daemon must index them before it prints the line.
+  bool finished = false;
+  for (int i = 0; i < 1200 && !finished; ++i) {  // <= 60 s
+    done_jobs();
+    finished = wait_for_line(err, "campaign done",
+                             std::chrono::milliseconds(50));
   }
+  ASSERT_TRUE(finished) << read_file(err);
+  const auto served = http_get(dir, port, "/aggregate");
   ASSERT_EQ(done_jobs(), 4u);
   const std::string csv = dir.file("served.csv");
   ASSERT_EQ(run(kDaemon + " export " + manifest + " --out=" + out_dir +
                 " --csv=" + csv + " 2>/dev/null"),
             0);
-  const std::string exported = read_file(csv);
-  std::pair<int, std::string> served;
-  for (int i = 0; i < 50; ++i) {  // the index refreshes at most every 200 ms
-    served = http_get(dir, port, "/aggregate");
-    if (served.second == exported) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-  EXPECT_EQ(served, std::make_pair(200, exported));
+  EXPECT_EQ(served, std::make_pair(200, read_file(csv)));
 
   ASSERT_EQ(::kill(pid, SIGTERM), 0);
   const int status = wait_for_exit(pid, std::chrono::seconds(10));

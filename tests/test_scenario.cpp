@@ -106,6 +106,70 @@ TEST(Scenario, NodeAccessors) {
   EXPECT_EQ(net.node(3).dsr().id(), 3u);
 }
 
+// Keeps the last frame one radio decoded that carried a DSR packet, and that
+// packet, while passing every radio event on to the node's MAC.
+class KeepLastDsrFrame final : public phy::PhyListener {
+ public:
+  explicit KeepLastDsrFrame(mac::Mac& mac) : mac_(mac) {}
+
+  void phy_rx_ok(const phy::FramePtr& frame) override {
+    const auto& mf = static_cast<const mac::MacFrame&>(*frame->payload);
+    if (auto pkt =
+            std::dynamic_pointer_cast<const routing::DsrPacket>(mf.datagram)) {
+      this->frame = frame;
+      packet = std::move(pkt);
+    }
+    mac_.phy_rx_ok(frame);
+  }
+  void phy_tx_done() override { mac_.phy_tx_done(); }
+  void phy_carrier_busy() override { mac_.phy_carrier_busy(); }
+  void phy_carrier_idle() override { mac_.phy_carrier_idle(); }
+
+  phy::FramePtr frame;
+  routing::DsrPacketPtr packet;
+
+ private:
+  mac::Mac& mac_;
+};
+
+// Frames and packets are plain shared_ptr blocks, so the last reference to
+// one may outlive the Network, and the Simulator, that made it. A block
+// owned by per-run storage would be read and released after that storage
+// died here (a heap-use-after-free under ASan).
+TEST(Scenario, FramesAndPacketsOutliveTheirNetwork) {
+  phy::FramePtr frame;
+  routing::DsrPacketPtr packet;
+  phy::NodeId frame_tx = 0;
+  std::int64_t frame_bits = 0;
+  routing::NodeId packet_src = 0;
+  routing::NodeId packet_dst = 0;
+  {
+    Network net(small_cfg(Scheme::kRcast));
+    KeepLastDsrFrame tap(net.node(0).mac());
+    net.node(0).phy().set_listener(&tap);
+    net.run();
+    net.node(0).phy().set_listener(&net.node(0).mac());
+    ASSERT_NE(tap.frame, nullptr);
+    ASSERT_NE(tap.packet, nullptr);
+    frame = std::move(tap.frame);
+    packet = std::move(tap.packet);
+    frame_tx = frame->tx;
+    frame_bits = frame->bits;
+    packet_src = packet->src;
+    packet_dst = packet->dst;
+  }
+  EXPECT_EQ(frame->tx, frame_tx);
+  EXPECT_EQ(frame->bits, frame_bits);
+  EXPECT_EQ(packet->src, packet_src);
+  EXPECT_EQ(packet->dst, packet_dst);
+  // The frame's MAC payload shares the packet: drop the frame first, so
+  // that each reset releases a last reference.
+  EXPECT_EQ(frame.use_count(), 1);
+  frame.reset();
+  EXPECT_EQ(packet.use_count(), 1);
+  packet.reset();
+}
+
 TEST(Scenario, OverrideOhMapHonored) {
   auto cfg = small_cfg(Scheme::kRcast);
   cfg.override_oh_map = true;

@@ -26,7 +26,6 @@
 #include "campaign/json.hpp"
 #include "campaign/manifest.hpp"
 #include "campaign/result_store.hpp"
-#include "scenario/params.hpp"
 #include "serving/http_server.hpp"
 #include "serving/metrics_io.hpp"
 #include "serving/result_service.hpp"
@@ -419,47 +418,6 @@ TEST(ResultStore, ScanResultJobFastPath) {
 
 // ---------------------------------------------------------------- journal --
 
-TEST(Journal, SyncEveryBatchesButKeepsEverySetting) {
-  // The crash-safety contract must hold at every batching level: lines are
-  // flushed per append (reader visibility), and whatever makes it to disk
-  // before a crash resumes cleanly.
-  for (const std::uint64_t sync_every : {std::uint64_t{1}, std::uint64_t{3},
-                                         std::uint64_t{100}}) {
-    TempDir dir;
-    const std::string path = dir.file("journal.log");
-    {
-      auto j = campaign::Journal::open(path, "cafe", 10);
-      j.set_sync_every(sync_every);
-      for (std::size_t i = 0; i < 5; ++i) j.append({i, "dddd", true, 1.0, ""});
-      // No close(): destructor runs, but the appends were at least
-      // fflushed, so a same-machine reader sees all five.
-    }
-    const auto view = campaign::Journal::load(path);
-    EXPECT_EQ(view.entries.size(), 5u) << "sync_every=" << sync_every;
-
-    // Torn trailing line (the crash case): truncated on reopen, the
-    // remaining entries intact.
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::app);
-      out << "J 9 ok 1.0";  // no newline
-    }
-    auto j = campaign::Journal::open(path, "cafe", 10);
-    EXPECT_EQ(j.entries().size(), 5u);
-    j.set_sync_every(sync_every);
-    j.append({7, "eeee", false, 2.0, "boom"});
-    j.close();
-    const auto after = campaign::Journal::load(path);
-    EXPECT_EQ(after.entries.size(), 6u);
-    EXPECT_FALSE(after.entries.at(7).ok);
-  }
-}
-
-TEST(Journal, SyncEveryZeroRejected) {
-  TempDir dir;
-  auto j = campaign::Journal::open(dir.file("j.log"), "cafe", 4);
-  EXPECT_THROW(j.set_sync_every(0), campaign::JournalError);
-}
-
 TEST(Journal, LoadIsReadOnly) {
   TempDir dir;
   const std::string path = dir.file("journal.log");
@@ -480,16 +438,6 @@ TEST(Journal, LoadIsReadOnly) {
 
   EXPECT_THROW(campaign::Journal::load(dir.file("missing.log")),
                campaign::JournalError);
-}
-
-TEST(Journal, SyncEveryParamRegisteredOutsideDigest) {
-  scenario::ScenarioConfig a, b;
-  scenario::set_param(a, "campaign.journal_sync_every", "1");
-  scenario::set_param(b, "campaign.journal_sync_every", "64");
-  EXPECT_EQ(b.journal_sync_every, 64u);
-  // Durability tuning cannot change what the simulator computes, so it must
-  // not split aggregation cells or invalidate journals.
-  EXPECT_EQ(campaign::config_digest(a), campaign::config_digest(b));
 }
 
 // ------------------------------------------------------------------- json --

@@ -221,8 +221,9 @@ struct ServeContext {
     svc->refresh();
   }
 
-  /// Unthrottled refresh for lookup misses: a record committed microseconds
-  /// ago should be queryable on the retry.
+  /// Unthrottled refresh, for lookup misses (a record committed
+  /// microseconds ago should be queryable on the retry) and for the end of
+  /// a run.
   void force_refresh() {
     std::lock_guard<std::mutex> lock(refresh_mu);
     last_refresh = std::chrono::steady_clock::now();
@@ -494,10 +495,11 @@ int cmd_run(const campaign::Manifest& manifest,
 
   // Optional serving layer over the store the runner is writing.
   std::unique_ptr<serving::ResultService> svc;
+  std::shared_ptr<ServeContext> ctx;
   std::unique_ptr<serving::HttpServer> server;
   if (flags.has("port")) {
     svc = std::make_unique<serving::ResultService>(opt.results_path);
-    auto ctx = std::make_shared<ServeContext>();
+    ctx = std::make_shared<ServeContext>();
     ctx->svc = svc.get();
     ctx->out_dir = out_dir;
     ctx->campaign_name = manifest.name;
@@ -523,6 +525,9 @@ int cmd_run(const campaign::Manifest& manifest,
     std::_Exit(128 + sig);
   }
   const campaign::CampaignResult r = running.get();
+  // The throttle may have skipped the last commits: index them before the
+  // daemon says it is done, so its /aggregate then equals `export`.
+  if (ctx) ctx->force_refresh();
 
   const auto [ok, failed] = journal_counts(out_dir);
   std::fprintf(stderr,
