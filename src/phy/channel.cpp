@@ -116,45 +116,63 @@ void Channel::transmit(FramePtr frame, sim::Time duration) {
 
   // Fan out to every radio that senses the frame, straight from the spatial
   // query (no intermediate result list): the callback fires in deterministic
-  // grid order with the exact squared distance already computed. Each
-  // receiver gets its own start/end closure pair inline in the event slots —
-  // scheduled here, or posted to its home shard. The start closure holds the
-  // one frame reference and moves it into the Phy's arrival record; the end
-  // closure names the record by id.
+  // grid order with the exact squared distance already computed. Receivers
+  // homed here go into the frame's fan-out record; a receiver homed on
+  // another shard gets its own start/end closure pair, posted there. The
+  // start closure holds a frame reference and moves it into the Phy's
+  // arrival record; the end closure names the record by id.
   const double rx2 = cfg_.tx_range_m * cfg_.tx_range_m;
   std::uint64_t remote_mask = 0;  // home shards with a remote receiver
+  FanOut* fan = nullptr;          // taken on the first local receiver
   mobility_.for_each_within(
       tx_pos, cfg_.cs_range_m, frame->tx, [&](NodeId r, double d2) {
         if (r >= phys_.size() || phys_[r] == nullptr) return;
         Phy* phy = phys_[r];
         const bool in_rx_range = d2 <= rx2;
         const double dist = std::sqrt(d2);
-        const sim::Time start = now + propagation_delay(dist);
-        const sim::Time end = start + duration;
+        const sim::Time delay = propagation_delay(dist);
         const std::uint64_t arrival_id = ++local.next_arrival_id;
         ++local.stats.arrival_records;
-        auto on_start = [phy, arrival_id, frame, in_rx_range, dist,
-                         end]() mutable {
-          phy->arrival_start(arrival_id, std::move(frame), in_rx_range, dist,
-                             end);
-        };
-        auto on_end = [phy, arrival_id] { phy->arrival_end(arrival_id); };
-        // Scheduled per sensed receiver per frame — the single hottest
-        // schedule site; they must never spill to the heap.
-        static_assert(
-            sim::EventQueue::Handler::fits_inline<decltype(on_start)>());
-        static_assert(
-            sim::EventQueue::Handler::fits_inline<decltype(on_end)>());
         if (sharded_ && node_shard_[r] != here) {
+          const sim::Time start = now + delay;
+          const sim::Time end = start + duration;
+          auto on_start = [phy, arrival_id, frame, in_rx_range, dist,
+                           end]() mutable {
+            phy->arrival_start(arrival_id, std::move(frame), in_rx_range,
+                               dist, end);
+          };
+          // Posted per remote receiver per frame; must never spill to the
+          // heap (kEventInlineCapacity is sized for it).
+          static_assert(
+              sim::EventQueue::Handler::fits_inline<decltype(on_start)>());
           const std::uint32_t home = node_shard_[r];
           remote_mask |= std::uint64_t{1} << home;
           sim_.post(home, start, std::move(on_start));
-          sim_.post(home, end, std::move(on_end));
+          sim_.post(home, end,
+                    [phy, arrival_id] { phy->arrival_end(arrival_id); });
           return;
         }
-        sim_.at(start, std::move(on_start));
-        sim_.at(end, std::move(on_end));
+        if (fan == nullptr) fan = &acquire_fanout(local);
+        fan->rx.push_back(Receiver{phy, arrival_id, dist, delay,
+                                   static_cast<std::uint32_t>(fan->rx.size()),
+                                   in_rx_range});
       });
+
+  if (fan != nullptr) {
+    // Reserve the two keys per receiver that per-receiver at() calls would
+    // have taken here, in grid order, then enter each stream at its first.
+    std::sort(fan->rx.begin(), fan->rx.end(),
+              [](const Receiver& a, const Receiver& b) {
+                return a.delay != b.delay ? a.delay < b.delay
+                                          : a.order < b.order;
+              });
+    fan->frame = std::move(frame);
+    fan->sent_at = now;
+    fan->duration = duration;
+    fan->base_seq = sim_.reserve_seqs(2 * fan->rx.size());
+    enter_stream(*fan, false);
+    enter_stream(*fan, true);
+  }
 
   if (remote_mask != 0) {
     // Ghost busy-marker: every remote shard with a sensed receiver mirrors
@@ -169,6 +187,48 @@ void Channel::transmit(FramePtr frame, sim::Time duration) {
       });
     }
   }
+}
+
+Channel::FanOut& Channel::acquire_fanout(ShardState& st) {
+  if (st.idle_fanouts.empty()) {
+    st.fanouts.push_back(std::make_unique<FanOut>());
+    return *st.fanouts.back();
+  }
+  FanOut* fan = st.idle_fanouts.back();
+  st.idle_fanouts.pop_back();
+  return *fan;
+}
+
+void Channel::enter_stream(FanOut& fan, bool ends) {
+  const std::uint32_t i = ends ? fan.next_end : fan.next_start;
+  sim_.at_seq(fan.time_of(i, ends), fan.seq_of(i, ends),
+              [this, &fan, ends] { run_stream(fan, ends); });
+}
+
+void Channel::run_stream(FanOut& fan, bool ends) {
+  std::uint32_t& next = ends ? fan.next_end : fan.next_start;
+  for (;;) {
+    const Receiver& r = fan.rx[next];
+    if (ends) {
+      r.phy->arrival_end(r.arrival_id);
+    } else {
+      r.phy->arrival_start(r.arrival_id, fan.frame, r.in_rx_range,
+                           r.distance_m, fan.time_of(next, true));
+    }
+    if (++next == fan.rx.size()) break;
+    if (!sim_.claim(fan.time_of(next, ends), fan.seq_of(next, ends))) {
+      enter_stream(fan, ends);
+      return;
+    }
+  }
+  if (!ends) return;
+  // The last end runs after the last start: the record is done.
+  RCAST_DCHECK(fan.next_start == fan.rx.size());
+  fan.frame.reset();
+  fan.rx.clear();
+  fan.next_start = 0;
+  fan.next_end = 0;
+  local_state().idle_fanouts.push_back(&fan);
 }
 
 sim::Time Channel::sensed_busy_until(geo::Vec2 pos) const {

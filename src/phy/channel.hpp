@@ -15,25 +15,30 @@
 // the carrier-sense disc instead of the global in-flight list.
 //
 // Fan-out (DESIGN.md §17): transmit() walks the sensed set once, in the
-// spatial query's grid order, and gives every sensed receiver one
-// arrival-start closure (phy, arrival id, frame, range flag, distance, end
-// time) and one arrival-end closure (phy, arrival id). The start moves the
-// frame into the receiver's arrival record; the end that empties a radio's
-// record set also closes its carrier-busy period, so a sensed arrival costs
-// exactly these two events.
+// spatial query's grid order, and writes every sensed receiver into one
+// pooled fan-out record per frame (the record owns the frame). A sensed
+// arrival is two events, its start and its end, and the record delivers a
+// frame's starts and its ends as two streams of one queue entry each:
+// receivers sorted by (propagation delay, grid order), run under the
+// sequence numbers that one at() call per event would have taken, so every
+// event runs at the same time and in the same order as if pushed on its
+// own. The end that empties a radio's arrival set also closes its
+// carrier-busy period.
 //
 // Sharded runs (DESIGN.md §15): every piece of per-transmission mutable
-// state — the cs-cell grid, the stats, the arrival-id stream — is replicated
-// per shard, so transmit() and sensed_busy_until() touch only the calling
-// shard's replica. Receivers homed on other shards get their closure pair
-// as cross-shard posts (delivered at the next barrier, clamped to the window
-// end), and a ghost busy-marker is posted to every remote shard that had a
-// receiver in the sensed set so its carrier-sense replica reflects the
-// transmission. Arrival-id streams are seeded shard << 56: disjoint and
-// per-run deterministic.
+// state — the cs-cell grid, the stats, the arrival-id stream, the fan-out
+// record pool — is replicated per shard, so transmit() and
+// sensed_busy_until() touch only the calling shard's replica. Receivers
+// homed on the transmitting shard take the streams; receivers homed on
+// other shards get a start/end closure pair as cross-shard posts (delivered
+// at the next barrier, clamped to the window end), and a ghost busy-marker
+// is posted to every remote shard that had a receiver in the sensed set so
+// its carrier-sense replica reflects the transmission. Arrival-id streams
+// are seeded shard << 56: disjoint and per-run deterministic.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "mobility/mobility_manager.hpp"
@@ -65,10 +70,10 @@ struct ChannelStats {
   std::uint64_t cs_cells_visited = 0;
   /// In-flight entries distance-checked inside those cells.
   std::uint64_t cs_entries_scanned = 0;
-  /// The PHY fan-out: one record per arrival transmit() schedules, i.e. per
-  /// sensed receiver per frame, whether it is scheduled on the transmitting
-  /// shard or posted to the receiver's home shard. Each record is one
-  /// start/end event pair.
+  /// The PHY fan-out: one per arrival transmit() schedules, i.e. per sensed
+  /// receiver per frame, whether it rides the frame's fan-out streams on the
+  /// transmitting shard or is posted to the receiver's home shard. Each is
+  /// one start/end event pair.
   std::uint64_t arrival_records = 0;
 };
 
@@ -135,6 +140,36 @@ class Channel {
     std::vector<InFlight> entries;
     sim::Time max_end = 0;
   };
+  /// One sensed receiver of a frame, delivered by its fan-out streams.
+  struct Receiver {
+    Phy* phy;
+    std::uint64_t arrival_id;
+    double distance_m;
+    sim::Time delay;     // propagation delay
+    std::uint32_t order;  // grid-order index among the frame's receivers
+    bool in_rx_range;
+  };
+  /// A frame's local fan-out, sorted by (delay, order), and its two
+  /// streams' positions. Receiver i's start runs at (sent_at + delay,
+  /// base_seq + 2 * order) and its end a frame duration later under the
+  /// next seq: the keys one at() call per event would have taken. Ends
+  /// follow starts (duration > 0), so the end stream finishes the record.
+  struct FanOut {
+    FramePtr frame;
+    sim::Time sent_at = 0;
+    sim::Time duration = 0;
+    std::uint64_t base_seq = 0;
+    std::uint32_t next_start = 0;
+    std::uint32_t next_end = 0;
+    std::vector<Receiver> rx;
+
+    sim::Time time_of(std::size_t i, bool end) const {
+      return sent_at + rx[i].delay + (end ? duration : 0);
+    }
+    std::uint64_t seq_of(std::size_t i, bool end) const {
+      return base_seq + 2 * std::uint64_t{rx[i].order} + (end ? 1 : 0);
+    }
+  };
   /// Per-shard replica of all per-transmission mutable state; exactly one
   /// in single-queue mode. Padded so neighboring shards' hot counters never
   /// share a cache line.
@@ -142,11 +177,24 @@ class Channel {
     std::vector<CsCell> cs_cells;
     std::uint64_t next_arrival_id = 0;
     ChannelStats stats;
+    /// Every fan-out record this shard made (they own their frames, so a
+    /// teardown with streams pending frees them here; the queue's stream
+    /// closures hold raw pointers and are destroyed uncalled), and the idle
+    /// ones. Filled by transmit(), so building a Channel allocates none.
+    std::vector<std::unique_ptr<FanOut>> fanouts;
+    std::vector<FanOut*> idle_fanouts;
   };
 
   std::uint32_t cs_cell_of(geo::Vec2 p) const;
   void add_in_flight(ShardState& st, geo::Vec2 tx_pos, sim::Time end);
   ShardState& local_state() const { return state_[sim_.current_shard()]; }
+  FanOut& acquire_fanout(ShardState& st);
+  /// A record's start stream (ends = false) or end stream: enter_stream
+  /// queues its next receiver's key; run_stream delivers that receiver and
+  /// every later one the simulator lets it claim, then re-enters the queue
+  /// or, after the last end, returns the record to the pool.
+  void enter_stream(FanOut& fan, bool ends);
+  void run_stream(FanOut& fan, bool ends);
 
   sim::Simulator& sim_;
   mobility::MobilityManager& mobility_;

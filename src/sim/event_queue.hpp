@@ -10,8 +10,9 @@
 //
 //   bottom  a sorted vector of (time, seq, slot) entries — the contents of
 //           the one bucket currently being drained. Pops advance a cursor;
-//           pushes landing inside its window insert in order (rare: only
-//           handlers scheduling into the immediate present do this).
+//           pushes landing inside its window insert in order. Not rare:
+//           a frame's sensed arrivals land here, which is why the channel
+//           delivers them as fan-out streams (DESIGN.md §13, §17).
 //   rungs   a stack of bucket arrays, coarsest first. Each rung covers a
 //           contiguous half-open time window with power-of-two bucket
 //           widths (bucket index = (t - base) >> shift, no division). When
@@ -82,8 +83,10 @@
 namespace rcast::sim {
 
 /// Inline storage of an event handler; captures beyond this spill to the
-/// heap. Sized for the largest hot-path capture (the channel's arrival
-/// lambdas: a shared_ptr plus four scalars).
+/// heap. Sized for the largest hot-path capture: the arrival-start closure
+/// (a shared_ptr plus four scalars) that a sharded run posts to a remote
+/// receiver's shard. Local receivers ride the channel's fan-out streams,
+/// whose closures are two pointers.
 inline constexpr std::size_t kEventInlineCapacity = 64;
 
 /// Opaque handle to a scheduled event; valid until the event fires or is
@@ -127,7 +130,38 @@ class EventQueue {
   template <class F, class = std::enable_if_t<
                          !std::is_same_v<std::decay_t<F>, Handler>>>
   EventId push(Time t, F&& f) {
-    return emplace_impl(t, std::forward<F>(f));
+    return emplace_impl(t, ++next_seq_, std::forward<F>(f));
+  }
+
+  /// Reserves `n` consecutive sequence numbers, exactly those the next `n`
+  /// pushes would take, and returns the first. The caller later pushes each
+  /// reserved key through push_at_seq (or runs it through a claim, see
+  /// Simulator::claim). scheduled_count() counts the reservation, so a
+  /// reserved event is scheduled once however it ends up running.
+  std::uint64_t reserve_seqs(std::uint64_t n) {
+    const std::uint64_t first = next_seq_ + 1;
+    next_seq_ += n;
+    return first;
+  }
+
+  /// Emplace push at a reserved key: the event fires exactly where a plain
+  /// push made at reservation time would have, ties included. `seq` must be
+  /// reserved, not yet pushed, and no earlier than anything already fired.
+  template <class F>
+  EventId push_at_seq(Time t, std::uint64_t seq, F&& f) {
+    RCAST_DCHECK(seq != 0 && seq <= next_seq_);
+    return emplace_impl(t, seq, std::forward<F>(f));
+  }
+
+  /// True if the key (t, seq) orders before every pending event (or none is
+  /// pending): an event at that key would be the next to fire. Safe to call
+  /// from inside a firing handler, mid-pop_batch; like next_time() it only
+  /// normalizes the front.
+  bool precedes_front(Time t, std::uint64_t seq) const {
+    const_cast<EventQueue*>(this)->prepare_front();
+    if (bottom_pos_ == bottom_.size()) return true;
+    const Entry& f = bottom_[bottom_pos_];
+    return t < f.time || (t == f.time && seq < f.seq);
   }
 
   /// Cancels a pending event; no-op if it already fired or was cancelled.
@@ -423,14 +457,14 @@ class EventQueue {
   }
 
   template <class F>
-  EventId emplace_impl(Time t, F&& f) {
+  EventId emplace_impl(Time t, std::uint64_t seq, F&& f) {
     RCAST_REQUIRE_MSG(t >= last_popped_, "scheduling into the past");
     const std::uint32_t slot = acquire_slot();
     Slot& s = slot_ref(slot);
     s.handler.emplace(std::forward<F>(f));
     if (s.handler.heap_allocated()) ++heap_fallbacks_;
     s.live = true;
-    route(Entry{t, ++next_seq_, slot, s.gen});
+    route(Entry{t, seq, slot, s.gen});
     ++stored_;
     ++live_;
     if (live_ > depth_high_water_) depth_high_water_ = live_;
@@ -458,9 +492,10 @@ class EventQueue {
                           static_cast<std::ptrdiff_t>(bottom_pos_));
         bottom_pos_ = 0;
       }
-      // Into the window being drained: keep the bottom sorted. New entries
-      // carry the largest seq, so upper_bound lands them after every
-      // already-pending same-time entry — FIFO preserved.
+      // Into the window being drained: keep the bottom sorted. A plain push
+      // carries the largest seq, so upper_bound lands it after every
+      // already-pending same-time entry (FIFO preserved); a push_at_seq
+      // lands exactly at its reserved key.
       bottom_.insert(std::upper_bound(bottom_.begin() + bottom_pos_,
                                       bottom_.end(), e, before),
                      e);

@@ -65,6 +65,19 @@ void ShardedExecutor::fill_perf(PerfCounters& p) const {
   }
 }
 
+bool ShardedExecutor::claim(std::size_t k, Time t, std::uint64_t seq) {
+  Shard& s = shards_[k];
+  if (t >= window_end_ ||
+      (deadline_armed_ &&
+       (s.executed + 1) % Simulator::kDeadlineCheckInterval == 0) ||
+      !s.queue.precedes_front(t, seq)) {
+    return false;
+  }
+  s.now = t;
+  ++s.executed;
+  return true;
+}
+
 void ShardedExecutor::check_wall_deadline() {
   if (!deadline_armed_ ||
       std::chrono::steady_clock::now() < wall_deadline_) {
@@ -200,6 +213,7 @@ void ShardedExecutor::run_until(
   // Match run_until semantics: the clock lands on `end` even if the queues
   // drained early (pending events past `end` stay queued).
   for (Shard& s : shards_) s.now = std::max(s.now, end);
+  window_end_ = 0;  // between runs every claim fails
   if (error_ != nullptr) std::rethrow_exception(error_);
 }
 

@@ -80,6 +80,13 @@ class ShardedExecutor {
 
   bool cancel(std::size_t k, EventId id) { return shards_[k].queue.cancel(id); }
 
+  /// Shard k's queue, for the stream calls (reserve_seqs, push_at_seq).
+  EventQueue& queue(std::size_t k) { return shards_[k].queue; }
+
+  /// Simulator::claim on shard k: bounded by the window (t < window end)
+  /// instead of run_until's `end`, and by the shard's own deadline check.
+  bool claim(std::size_t k, Time t, std::uint64_t seq);
+
   /// Cross-shard event: appended to the (src, dst) mailbox and delivered by
   /// the next barrier, clamped to no earlier than the current window's end.
   void post(std::size_t src, std::size_t dst, Time t, Handler h) {

@@ -1,5 +1,6 @@
 #include "sim/simulator.hpp"
 
+#include <limits>
 #include <sstream>
 
 #include "sim/sharded_executor.hpp"
@@ -39,6 +40,27 @@ EventId Simulator::shard_push(std::size_t shard, Time t, Handler h) {
 bool Simulator::shard_cancel(std::size_t shard, EventId id) {
   return exec_->cancel(shard, id);
 }
+
+EventQueue& Simulator::shard_queue(std::size_t shard) {
+  return exec_->queue(shard);
+}
+
+bool Simulator::shard_claim(std::size_t shard, Time t, std::uint64_t seq) {
+  return exec_->claim(shard, t, seq);
+}
+
+namespace {
+/// Sets claim()'s bound for one run loop and restores it on every exit, a
+/// thrown WallDeadlineExceeded included.
+struct RunBound {
+  Time& bound;
+  const Time saved;
+  RunBound(Time& b, Time end) : bound(b), saved(b) { bound = end; }
+  ~RunBound() { bound = saved; }
+  RunBound(const RunBound&) = delete;
+  RunBound& operator=(const RunBound&) = delete;
+};
+}  // namespace
 
 void Simulator::post(std::size_t dst_shard, Time t, Handler h) {
   RCAST_REQUIRE(exec_ != nullptr && g_shard_context.owner == this);
@@ -93,7 +115,9 @@ void Simulator::run_until(Time end) {
   // Batched dispatch: one queue-front lookup per distinct timestamp, with
   // every same-time event (including ones its handlers push) drained in
   // scheduling order. The wall-deadline check still runs between events,
-  // never mid-handler; a throw leaves unfired batch members pending.
+  // never mid-handler; a throw leaves unfired batch members pending. A
+  // handler may claim() later keys, so the clock can leave a batch past t.
+  const RunBound bound(run_end_, end);
   while (!queue_.empty()) {
     const Time t = queue_.next_time();
     if (t > end) break;
@@ -112,6 +136,7 @@ void Simulator::run_until(Time end) {
 void Simulator::run_all() {
   RCAST_REQUIRE_MSG(exec_ == nullptr, "run_all requires single-queue mode");
   if (deadline_armed_) check_wall_deadline();
+  const RunBound bound(run_end_, std::numeric_limits<Time>::max());
   while (!queue_.empty()) {
     now_ = queue_.next_time();
     queue_.pop_batch([this](Handler& h) {

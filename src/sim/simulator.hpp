@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -95,6 +96,51 @@ class Simulator {
     return queue_.cancel(id);
   }
 
+  // --- event streams (DESIGN.md §17) ---------------------------------------
+  //
+  // A stream is a sorted run of events that holds one queue entry at a time.
+  // It reserves the sequence numbers its events would have taken as plain
+  // at() calls, enters the queue at its first key, and after each event
+  // either claims the next key or re-enters the queue at it. Every event
+  // thus runs at the same time and in the same order, and counts as one
+  // executed event, exactly as if each had been pushed on its own.
+
+  /// Reserves `n` sequence numbers on the calling shard's queue, those the
+  /// next `n` at() calls would take; returns the first.
+  std::uint64_t reserve_seqs(std::uint64_t n) {
+    return local_queue().reserve_seqs(n);
+  }
+
+  /// Schedules `h` at time `t` (>= now) under the reserved sequence number
+  /// `seq`, on the calling shard's queue. Emplaces like at().
+  template <class H, class = std::enable_if_t<
+                         std::is_invocable_r_v<void, std::decay_t<H>&>>>
+  EventId at_seq(Time t, std::uint64_t seq, H&& h) {
+    RCAST_REQUIRE(t >= now());
+    return local_queue().push_at_seq(t, seq, std::forward<H>(h));
+  }
+
+  /// From inside a running event: if the reserved key (t, seq) precedes
+  /// every pending event and lies inside the current run (run_until's `end`;
+  /// a sharded run's window), advances the clock to `t`, counts one executed
+  /// event and returns true, and the caller runs that event inline. Returns
+  /// false, leaving the caller to at_seq() it, outside a run, in step(), and
+  /// when the executed count would reach the next wall-deadline check (the
+  /// run loop keeps that check).
+  bool claim(Time t, std::uint64_t seq) {
+    if (exec_ != nullptr && g_shard_context.owner == this) {
+      return shard_claim(g_shard_context.shard, t, seq);
+    }
+    if (t > run_end_ ||
+        (deadline_armed_ && (executed_ + 1) % kDeadlineCheckInterval == 0) ||
+        !queue_.precedes_front(t, seq)) {
+      return false;
+    }
+    now_ = t;
+    ++executed_;
+    return true;
+  }
+
   // --- sharded execution (DESIGN.md §15) -----------------------------------
 
   bool sharded() const { return exec_ != nullptr; }
@@ -159,14 +205,27 @@ class Simulator {
  private:
   void check_wall_deadline() const;
 
+  EventQueue& local_queue() {
+    return (exec_ != nullptr && g_shard_context.owner == this)
+               ? shard_queue(g_shard_context.shard)
+               : queue_;
+  }
+
   // Out-of-line shard plumbing (the executor's type is incomplete here).
   Time shard_now(std::size_t shard) const;
   EventId shard_push(std::size_t shard, Time t, Handler h);
   bool shard_cancel(std::size_t shard, EventId id);
+  EventQueue& shard_queue(std::size_t shard);
+  bool shard_claim(std::size_t shard, Time t, std::uint64_t seq);
+
+  /// claim()'s bound: run_until's `end` while a run loop is draining the
+  /// queue, kNotRunning otherwise (so every claim fails).
+  static constexpr Time kNotRunning = std::numeric_limits<Time>::min();
 
   EventQueue queue_;
   std::unique_ptr<ShardedExecutor> exec_;  // null = single-queue mode
   Time now_ = 0;
+  Time run_end_ = kNotRunning;
   std::uint64_t executed_ = 0;
   std::chrono::steady_clock::time_point wall_deadline_{};
   bool deadline_armed_ = false;

@@ -1,6 +1,6 @@
-// The pre-ladder binary-heap event queue, kept verbatim (renamed) as the
-// reference implementation for the randomized differential test in
-// test_event_queue_differential.cpp. Its pop order — (time, seq) with FIFO
+// The pre-ladder binary-heap event queue, kept verbatim (renamed; next_seq()
+// added) as the reference implementation for the randomized differential
+// test in test_event_queue_differential.cpp. Its pop order — (time, seq) with FIFO
 // ties, O(1) generation-checked cancellation — *defines* the contract the
 // ladder queue must reproduce exactly; golden traces were recorded under
 // this implementation.
@@ -74,6 +74,14 @@ class ReferenceEventQueue {
     skip_dead();
     RCAST_REQUIRE(!heap_.empty());
     return heap_.front().time;
+  }
+
+  /// Sequence number of the earliest pending event: with next_time(), the
+  /// front key that EventQueue::precedes_front is checked against.
+  std::uint64_t next_seq() {
+    skip_dead();
+    RCAST_REQUIRE(!heap_.empty());
+    return heap_.front().seq;
   }
 
   std::pair<Time, Handler> pop() {

@@ -242,6 +242,34 @@ TEST(Runner, TimedOutJobIsFailedNotFatal) {
   }
 }
 
+// A budget that expires mid-run (not at the run's up-front check): the
+// periodic check, made by the run loop between events, fails the job. The
+// job is long enough that the budget always expires first, and its streamed
+// arrivals defer that check to the loop rather than skip it.
+TEST(Runner, JobTimingOutMidRunIsFailedNotFatal) {
+  Manifest m = parse_manifest(kManifestText);
+  m.node_counts = {60};
+  m.flows = 20;
+  m.duration_s = 600.0;
+  m.rates_pps = {4.0};
+  m.seeds = 1;
+  m.schemes = {scenario::Scheme::kRcast};
+  RunnerOptions opt;
+  opt.threads = 1;
+  opt.job_timeout_s = 0.05;
+  const CampaignResult res = run_campaign(m, opt);
+  ASSERT_EQ(res.outcomes.size(), 1u);
+  const JobOutcome& o = res.outcomes[0];
+  EXPECT_EQ(o.status, JobStatus::kFailed);
+  // "... after N events ...": N is a positive multiple of the interval.
+  const std::string key = "after ";
+  const std::size_t at = o.error.find(key);
+  ASSERT_NE(at, std::string::npos) << o.error;
+  const std::uint64_t events = std::stoull(o.error.substr(at + key.size()));
+  EXPECT_GT(events, 0u) << o.error;
+  EXPECT_EQ(events % sim::Simulator::kDeadlineCheckInterval, 0u) << o.error;
+}
+
 TEST(Runner, ResumeSkipsJournaledJobsAndAggregatesByteIdentical) {
   const Manifest m = parse_manifest(kManifestText);
   TempDir dir;

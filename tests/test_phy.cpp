@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -68,11 +71,13 @@ class EdgeLog : public PhyListener {
 // Fixture: static nodes on a line. Node i at x = i * spacing.
 class PhyTest : public ::testing::Test {
  protected:
-  // Delivers one arrival straight to radio `i` the way Channel::transmit
-  // schedules it: a start closure that moves the frame into the radio at
-  // `start`, and an end closure naming the arrival by id at `end_at` (later
-  // than `end` only for a cross-shard arrival delivered at a barrier). A
-  // carrier-sense-only signal comes from 400 m, a decodable one from 100 m.
+  // Delivers one arrival straight to radio `i` as two events, the way
+  // Channel::transmit posts it to a receiver on another shard (its streams
+  // make the same two calls at the same keys): a start closure that moves
+  // the frame into the radio at `start`, and an end closure naming the
+  // arrival by id at `end_at` (later than `end` only for a cross-shard
+  // arrival delivered at a barrier). A carrier-sense-only signal comes from
+  // 400 m, a decodable one from 100 m.
   void deliver(std::size_t i, std::uint64_t id, sim::Time start,
                sim::Time end, sim::Time end_at, bool in_rx_range = false) {
     Phy* phy = phys_[i].get();
@@ -722,6 +727,261 @@ TEST(ChannelFanOut, EquidistantReceiversDecodeOnce) {
 
 TEST(ChannelFanOut, ShardedEquidistantReceiversDecodeOnce) {
   expect_equidistant_receivers_decode_once(2);
+}
+
+// --- Fan-out streams: exact (time, seq) delivery ----------------------------
+
+sim::Time prop_delay(double meters) {
+  return static_cast<sim::Time>(meters / 0.299792458);
+}
+
+// Appends "B<node>" to a shared log on a busy edge (an arrival's start at an
+// idle radio) and "R<node>" on a decode (a locked arrival's end).
+class OrderLog : public PhyListener {
+ public:
+  OrderLog(std::vector<std::string>& log, NodeId id) : log_(log), id_(id) {}
+  void phy_rx_ok(const FramePtr&) override {
+    log_.push_back("R" + std::to_string(id_));
+  }
+  void phy_tx_done() override {}
+  void phy_carrier_busy() override {
+    log_.push_back("B" + std::to_string(id_));
+  }
+  void phy_carrier_idle() override {}
+
+ private:
+  std::vector<std::string>& log_;
+  NodeId id_;
+};
+
+// Node 0 transmits from x = 0; node i >= 1 sits at x = xs[i - 1] on the same
+// line. With `shards` = 2, node i is homed on home[i].
+struct FanOutBed {
+  explicit FanOutBed(const std::vector<double>& xs, std::size_t shards = 1,
+                     std::vector<std::uint32_t> home = {})
+      : sim(shards), mobility(sim, geo::Rect{2000.0, 100.0}, 550.0) {
+    mobility.add_node(
+        0, std::make_unique<mobility::StaticModel>(geo::Vec2{0.0, 50.0}));
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      mobility.add_node(static_cast<NodeId>(i + 1),
+                        std::make_unique<mobility::StaticModel>(
+                            geo::Vec2{xs[i], 50.0}));
+    }
+    channel = std::make_unique<Channel>(sim, mobility, ChannelConfig{});
+    if (shards > 1) channel->set_shard_map(std::move(home));
+    for (NodeId i = 0; i <= xs.size(); ++i) {
+      phys.push_back(std::make_unique<Phy>(sim, *channel, i, nullptr));
+      logs.push_back(std::make_unique<OrderLog>(log, i));
+      phys.back()->set_listener(logs.back().get());
+    }
+  }
+
+  /// Schedules node 0's broadcast of a 512-bit frame at `t0`; `then` runs
+  /// in the same event, right after transmit().
+  void send_at(sim::Time t0, std::function<void()> then = {}) {
+    sim.at(t0, [this, then = std::move(then)] {
+      channel->transmit(make_frame(0, kBroadcastId, 512), duration());
+      if (then) then();
+    });
+  }
+  sim::Time duration() const { return channel->duration_of(512); }
+
+  sim::Simulator sim;
+  mobility::MobilityManager mobility;
+  std::unique_ptr<Channel> channel;
+  std::vector<std::unique_ptr<Phy>> phys;
+  std::vector<std::string> log;
+  std::vector<std::unique_ptr<OrderLog>> logs;
+};
+
+using Log = std::vector<std::string>;
+
+// A timer at receiver 2's exact arrival nanosecond, pushed before the frame
+// is sent, fires before that receiver's start (and end); one pushed after
+// transmit() fires after it. Receiver 2 sits mid-stream, so without the
+// timers its start and end would both be claimed inline.
+TEST(ChannelFanOut, TimersAtAnArrivalNanosecondKeepPushOrder) {
+  FanOutBed bed({100.0, 150.0, 200.0});
+  const sim::Time t0 = 1000;
+  const sim::Time start2 = t0 + prop_delay(150.0);
+  const sim::Time end2 = start2 + bed.duration();
+  bed.sim.at(start2, [&bed] { bed.log.push_back("early-start"); });
+  bed.sim.at(end2, [&bed] { bed.log.push_back("early-end"); });
+  bed.send_at(t0, [&bed, start2, end2] {
+    bed.sim.at(start2, [&bed] { bed.log.push_back("late-start"); });
+    bed.sim.at(end2, [&bed] { bed.log.push_back("late-end"); });
+  });
+  bed.sim.run_until(sim::kMillisecond);
+  EXPECT_EQ(bed.log, (Log{"B1", "early-start", "B2", "late-start", "B3", "R1",
+                          "early-end", "R2", "late-end", "R3"}));
+}
+
+// One frame to N receivers with nothing else pending: the transmit event,
+// then one dispatch for all N starts and one for all N ends, while executed
+// and scheduled events still count every arrival's start and end.
+TEST(ChannelFanOut, IsolatedFrameCostsTwoDispatches) {
+  std::vector<double> xs;
+  for (int i = 0; i < 20; ++i) xs.push_back(30.0 + 25.0 * i);  // to 505 m
+  FanOutBed bed(xs);
+  const sim::PerfCounters before = bed.sim.perf_counters();
+  bed.send_at(1000);
+  bed.sim.run_until(10 * sim::kMillisecond);
+  const sim::PerfCounters after = bed.sim.perf_counters();
+  const std::uint64_t n = xs.size();
+  EXPECT_EQ(after.dispatch_batches - before.dispatch_batches, 1u + 2u);
+  EXPECT_EQ(after.events_executed - before.events_executed, 1u + 2 * n);
+  EXPECT_EQ(after.events_scheduled - before.events_scheduled, 1u + 2 * n);
+  EXPECT_EQ(bed.channel->stats().arrival_records, n);
+  for (NodeId i = 1; i <= n; ++i) {
+    EXPECT_EQ(bed.phys[i]->stats().rx_ok, xs[i - 1] <= 250.0 ? 1u : 0u)
+        << "receiver " << i;
+  }
+}
+
+// run_until(end) with `end` inside a stream runs the receivers up to `end`
+// (inclusive), leaves the clock there, and the next call resumes the stream.
+TEST(ChannelFanOut, RunUntilInsideAStreamStopsAtEndAndResumes) {
+  FanOutBed bed({100.0, 150.0, 200.0});
+  const sim::Time t0 = 1000;
+  bed.send_at(t0);
+  const sim::Time start2 = t0 + prop_delay(150.0);
+  bed.sim.run_until(start2);
+  EXPECT_EQ(bed.sim.now(), start2);
+  EXPECT_EQ(bed.log, (Log{"B1", "B2"}));
+  const sim::Time end1 = t0 + prop_delay(100.0) + bed.duration();
+  bed.sim.run_until(end1);
+  EXPECT_EQ(bed.log, (Log{"B1", "B2", "B3", "R1"}));
+  bed.sim.run_until(sim::kMillisecond);
+  EXPECT_EQ(bed.log, (Log{"B1", "B2", "B3", "R1", "R2", "R3"}));
+}
+
+// A storm of overlapping frames from random transmitters, run once in one
+// call and once in thousands of random slices: identical edge logs, radio
+// stats and event counts.
+TEST(ChannelFanOut, SlicedAndUnslicedRunsAgree) {
+  struct Outcome {
+    Log log;
+    std::vector<std::uint64_t> phy_counts;
+    std::uint64_t executed = 0;
+    std::uint64_t scheduled = 0;
+  };
+  auto run = [](bool sliced) {
+    Rng place(5);
+    std::vector<double> xs;
+    for (int i = 0; i < 40; ++i) xs.push_back(place.uniform(1.0, 1200.0));
+    FanOutBed bed(xs);
+    Rng traffic(6);
+    for (int f = 0; f < 150; ++f) {
+      const auto tx = static_cast<NodeId>(traffic.uniform_u64(xs.size() + 1));
+      const sim::Time at =
+          static_cast<sim::Time>(traffic.uniform_u64(20 * sim::kMillisecond));
+      bed.sim.at(at, [&bed, tx] {
+        bed.channel->transmit(make_frame(tx, kBroadcastId, 512),
+                              bed.duration());
+      });
+    }
+    const sim::Time end = 25 * sim::kMillisecond;
+    if (sliced) {
+      Rng slicer(7);
+      while (bed.sim.now() < end) {
+        bed.sim.run_until(std::min(
+            end, bed.sim.now() + 1 +
+                     static_cast<sim::Time>(slicer.uniform_u64(3000))));
+      }
+    } else {
+      bed.sim.run_until(end);
+    }
+    Outcome o;
+    o.log = bed.log;
+    for (const auto& phy : bed.phys) {
+      o.phy_counts.push_back(phy->stats().rx_ok);
+      o.phy_counts.push_back(phy->stats().rx_collisions);
+      o.phy_counts.push_back(phy->stats().rx_missed_busy);
+    }
+    o.executed = bed.sim.executed_events();
+    o.scheduled = bed.sim.perf_counters().events_scheduled;
+    return o;
+  };
+  const Outcome whole = run(false);
+  const Outcome sliced = run(true);
+  EXPECT_GT(whole.log.size(), 1000u);
+  EXPECT_EQ(whole.log, sliced.log);
+  EXPECT_EQ(whole.phy_counts, sliced.phy_counts);
+  EXPECT_EQ(whole.executed, sliced.executed);
+  EXPECT_EQ(whole.scheduled, sliced.scheduled);
+}
+
+// step() claims nothing: each call runs exactly one receiver's start or end.
+TEST(ChannelFanOut, StepRunsOneReceiverPerCall) {
+  FanOutBed bed({100.0, 150.0, 200.0});
+  const sim::Time t0 = 1000;
+  bed.send_at(t0);
+  ASSERT_TRUE(bed.sim.step());  // the transmit event
+  const double xs[] = {100.0, 150.0, 200.0};
+  for (std::size_t k = 0; k < 3; ++k) {
+    ASSERT_TRUE(bed.sim.step());
+    EXPECT_EQ(bed.sim.now(), t0 + prop_delay(xs[k]));
+    EXPECT_EQ(bed.log.size(), k + 1);
+  }
+  for (std::size_t k = 0; k < 3; ++k) {
+    ASSERT_TRUE(bed.sim.step());
+    EXPECT_EQ(bed.sim.now(), t0 + prop_delay(xs[k]) + bed.duration());
+    EXPECT_EQ(bed.log.size(), 4 + k);
+  }
+  EXPECT_EQ(bed.log, (Log{"B1", "B2", "B3", "R1", "R2", "R3"}));
+  EXPECT_EQ(bed.sim.executed_events(), 7u);
+}
+
+// K = 2 with receivers homed on both shards: the transmitter's shard streams
+// its local receivers and posts the others' closure pairs. Every arrival is
+// delivered once: one decode per receiver, and exactly the transmit event,
+// two events per arrival and the one ghost busy-marker execute.
+TEST(ChannelFanOut, ShardedMixedHomesDeliverEachArrivalOnce) {
+  const std::vector<double> xs = {60.0, 90.0, 120.0, 150.0, 180.0, 210.0,
+                                  240.0, 75.0};
+  std::vector<std::uint32_t> home = {0};
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    home.push_back(static_cast<std::uint32_t>(i % 2));
+  }
+  FanOutBed bed(xs, 2, home);
+  bed.sim.set_shard_context(0);
+  bed.send_at(0);
+  bed.sim.clear_shard_context();
+  bed.sim.run_until(sim::kSecond);
+  EXPECT_EQ(bed.channel->stats().arrival_records, xs.size());
+  for (NodeId i = 1; i <= xs.size(); ++i) {
+    EXPECT_EQ(bed.phys[i]->stats().rx_ok, 1u) << "receiver " << i;
+    EXPECT_EQ(bed.phys[i]->stats().rx_collisions, 0u) << "receiver " << i;
+  }
+  EXPECT_EQ(bed.sim.executed_events(), 1 + 2 * xs.size() + 1);
+}
+
+// A wall deadline that expires mid-stream: claims stop short of the run
+// loop's periodic check, so the check (and the throw) lands between two
+// receivers' starts. After the throw the run bound is gone: nothing can be
+// claimed outside a run.
+TEST(ChannelFanOut, WallDeadlineThrowsBetweenReceivers) {
+  std::vector<double> xs;
+  for (int i = 0; i < 8; ++i) xs.push_back(60.0 + 40.0 * i);
+  FanOutBed bed(xs);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
+  bed.sim.set_wall_deadline(deadline);
+  // Events 1..D run first (the first spins past the deadline), then the
+  // transmit (D + 1) and starts D + 2, D + 3, ...: with D = interval - 6,
+  // the check at the interval falls on the fifth start.
+  const std::uint64_t d = sim::Simulator::kDeadlineCheckInterval - 6;
+  bed.sim.at(0, [deadline] {
+    while (std::chrono::steady_clock::now() <
+           deadline + std::chrono::milliseconds(1)) {
+    }
+  });
+  for (std::uint64_t i = 1; i < d; ++i) bed.sim.at(0, [] {});
+  bed.send_at(1000);
+  EXPECT_THROW(bed.sim.run_until(sim::kMillisecond), sim::WallDeadlineExceeded);
+  EXPECT_EQ(bed.sim.executed_events(), sim::Simulator::kDeadlineCheckInterval);
+  EXPECT_EQ(bed.log, (Log{"B1", "B2", "B3", "B4"}));
+  EXPECT_FALSE(bed.sim.claim(bed.sim.now(), 0));
 }
 
 }  // namespace

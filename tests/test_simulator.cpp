@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <vector>
 
 namespace rcast::sim {
@@ -132,6 +133,87 @@ TEST(Simulator, BatchedDispatchKeepsNowConsistent) {
   ASSERT_EQ(seen.size(), 5u);
   for (int i = 0; i < 4; ++i) EXPECT_EQ(seen[static_cast<std::size_t>(i)], 50);
   EXPECT_EQ(seen[4], 1050);  // ran at now()==50, inside the same instant
+}
+
+// --- Event streams: reserve_seqs / at_seq / claim (DESIGN.md §17) ----------
+
+TEST(Simulator, AtSeqFiresAtTheReservedKey) {
+  Simulator sim;
+  std::vector<int> order;
+  const std::uint64_t base = sim.reserve_seqs(1);
+  sim.at(10, [&] { order.push_back(2); });  // takes a later seq
+  sim.at_seq(10, base, [&] { order.push_back(1); });
+  sim.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(sim.perf_counters().events_scheduled, 2u);
+  EXPECT_EQ(sim.executed_events(), 2u);
+}
+
+// A claim succeeds only from inside a run loop, for a key that precedes
+// every pending event; it advances the clock and counts one executed event.
+TEST(Simulator, ClaimRunsAKeyThatPrecedesTheFront) {
+  Simulator sim;
+  const std::uint64_t base = sim.reserve_seqs(3);
+  EXPECT_FALSE(sim.claim(0, base));  // outside a run
+  std::vector<int> order;
+  sim.at(20, [&] { order.push_back(20); });
+  sim.at(5, [&] {
+    order.push_back(5);
+    EXPECT_TRUE(sim.claim(10, base));
+    EXPECT_EQ(sim.now(), 10);
+    EXPECT_TRUE(sim.claim(20, base + 1));    // ties at 20, earlier seq
+    EXPECT_FALSE(sim.claim(30, base + 2));   // the event at 20 comes first
+    EXPECT_EQ(sim.now(), 20);
+  });
+  sim.run_until(100);
+  EXPECT_EQ(order, (std::vector<int>{5, 20}));
+  EXPECT_EQ(sim.executed_events(), 4u);
+  EXPECT_FALSE(sim.claim(100, base + 2));  // the run is over
+}
+
+TEST(Simulator, ClaimStopsAtRunUntilsEnd) {
+  Simulator sim;
+  const std::uint64_t base = sim.reserve_seqs(2);
+  sim.at(5, [&] {
+    EXPECT_TRUE(sim.claim(50, base));        // exactly at end: inside
+    EXPECT_FALSE(sim.claim(51, base + 1));   // past end
+  });
+  sim.run_until(50);
+  EXPECT_EQ(sim.executed_events(), 2u);
+}
+
+TEST(Simulator, ClaimIsRefusedInStep) {
+  Simulator sim;
+  const std::uint64_t base = sim.reserve_seqs(1);
+  bool claimed = true;
+  sim.at(5, [&] { claimed = sim.claim(6, base); });
+  ASSERT_TRUE(sim.step());
+  EXPECT_FALSE(claimed);
+  EXPECT_EQ(sim.executed_events(), 1u);
+}
+
+// The claim that would reach the periodic wall-deadline check is refused,
+// so the run loop makes every check itself.
+TEST(Simulator, ClaimLeavesTheDeadlineCheckToTheRunLoop) {
+  Simulator sim;
+  sim.set_wall_deadline(std::chrono::steady_clock::now() +
+                        std::chrono::hours(1));
+  const std::uint64_t n = Simulator::kDeadlineCheckInterval + 10;
+  const std::uint64_t base = sim.reserve_seqs(n);
+  std::uint64_t claimed = 0;
+  std::uint64_t refused_at = 0;
+  sim.at(1, [&] {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      if (!sim.claim(2, base + i)) {
+        refused_at = sim.executed_events() + 1;
+        break;
+      }
+      ++claimed;
+    }
+  });
+  sim.run_until(10);
+  EXPECT_EQ(refused_at, Simulator::kDeadlineCheckInterval);
+  EXPECT_EQ(claimed, Simulator::kDeadlineCheckInterval - 2);
 }
 
 TEST(PeriodicTimer, FiresOnPeriod) {
